@@ -9,7 +9,8 @@ and privilege are derived constructors, not AST nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from operator import is_not
+from typing import Callable, Iterator, Sequence
 
 
 class Formula:
@@ -173,23 +174,71 @@ def disj(parts) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Traversals.
+# Structure.  For each node class: its children, and the node rebuilt over
+# new children with its other fields kept.  This is the only place that
+# lists them; only the printer and the evaluator keep rules per node class.
+
+_SAME_CLASS = lambda f, kids: type(f)(*kids)
+
+_SHAPE = {
+    **dict.fromkeys((Atom, Top, Bot), (lambda f: (), lambda f, kids: f)),
+    **dict.fromkeys((Not, Univ), (lambda f: (f.arg,), _SAME_CLASS)),
+    **dict.fromkeys((And, Or, Imp, Iff), (lambda f: (f.left, f.right), _SAME_CLASS)),
+    PrefBox: (lambda f: (f.arg,), lambda f, kids: PrefBox(f.i, f.j, *kids)),
+    Does: (lambda f: (f.arg,), lambda f, kids: Does(f.agent, *kids)),
+    CondObl: (lambda f: (f.consequent, f.condition), lambda f, kids: CondObl(f.i, f.j, *kids)),
+    ActBox: (lambda f: (f.arg,), lambda f, kids: ActBox(f.model, f.action, *kids)),
+}
+
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (Not, PrefBox, Univ, Does, ActBox)):
-        return (f.arg,)
-    if isinstance(f, (And, Or, Imp, Iff)):
-        return (f.left, f.right)
-    if isinstance(f, CondObl):
-        return (f.consequent, f.condition)
-    return ()
+    return _SHAPE[type(f)][0](f)
+
+
+def rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
+    """The node ``f`` over new children, its other fields unchanged."""
+    return _SHAPE[type(f)][1](f, kids)
+
+
+def rewrite(f: Formula, step: Callable[[Formula], Formula],
+            expand: Callable[[Formula], Formula] | None = None) -> Formula:
+    """Rebuild ``f`` bottom-up: each node, once its children are rewritten,
+    is replaced by ``step`` of it.
+
+    ``expand``, if given, acts on the way down: each node reached is first
+    replaced by ``expand`` of it, whose children are then visited.  A node
+    whose children all come back as the same objects is kept, so untouched
+    subformulas are shared with the input.  The walk keeps its own stack,
+    so no depth overflows it.
+    """
+    done: list[Formula] = []
+    todo = [(f, None)]
+    while todo:
+        g, kids = todo.pop()
+        if kids is None:
+            if expand is not None:
+                g = expand(g)
+            kids = children(g)
+            if kids:
+                todo.append((g, kids))
+                todo.extend([(kid, None) for kid in reversed(kids)])
+                continue
+        else:
+            new = done[-len(kids):]
+            del done[-len(kids):]
+            if any(map(is_not, new, kids)):
+                g = rebuild(g, new)
+        done.append(step(g))
+    return done[0]
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Yield ``f`` and every node below it, preorder."""
-    yield f
-    for child in children(f):
-        yield from subformulas(child)
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        todo.extend(reversed(children(g)))
 
 
 def size(f: Formula) -> int:
@@ -235,28 +284,7 @@ def unfold_cond_obl(f: Formula) -> Formula:
     The output contains no CondObl node and is evaluation-equivalent to the
     input.  Size grows by at most a factor of 7 per eliminated node.
     """
-    if isinstance(f, CondObl):
-        unfolded = CondObl(f.i, f.j, unfold_cond_obl(f.consequent), unfold_cond_obl(f.condition))
-        return unfold_head(unfolded)
-    if isinstance(f, Not):
-        return Not(unfold_cond_obl(f.arg))
-    if isinstance(f, And):
-        return And(unfold_cond_obl(f.left), unfold_cond_obl(f.right))
-    if isinstance(f, Or):
-        return Or(unfold_cond_obl(f.left), unfold_cond_obl(f.right))
-    if isinstance(f, Imp):
-        return Imp(unfold_cond_obl(f.left), unfold_cond_obl(f.right))
-    if isinstance(f, Iff):
-        return Iff(unfold_cond_obl(f.left), unfold_cond_obl(f.right))
-    if isinstance(f, PrefBox):
-        return PrefBox(f.i, f.j, unfold_cond_obl(f.arg))
-    if isinstance(f, Univ):
-        return Univ(unfold_cond_obl(f.arg))
-    if isinstance(f, Does):
-        return Does(f.agent, unfold_cond_obl(f.arg))
-    if isinstance(f, ActBox):
-        return ActBox(f.model, f.action, unfold_cond_obl(f.arg))
-    return f
+    return rewrite(f, lambda g: unfold_head(g) if isinstance(g, CondObl) else g)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .formula import (
     Univ,
     act_dia,
     conj,
-    subformulas,
+    is_static,
 )
 from .model import PrefActionModel, blocks_to_relation, closure
 
@@ -202,74 +202,50 @@ def random_action_model(cfg: GeneratorConfig, model: PrefActionModel,
     )
 
 
+# Node kinds and their weights per generator mode, in the order
+# ``rng.choices`` reads them: reordering an entry changes every seeded formula.
+_STATIC_KINDS = (("not", "and", "or", "imp", "iff", "pref", "univ", "does", "obl"),
+                 (15, 13, 13, 10, 6, 14, 9, 10, 10))
+_DYNAMIC_KINDS = (("box", "dia", "not", "and", "or", "imp", "pref", "univ", "does", "obl"),
+                  (18, 10, 12, 11, 11, 8, 10, 7, 7, 6))
+_BINARY = {"and": And, "or": Or, "imp": Imp, "iff": Iff}
+
+
 def random_static_formula(rng: random.Random, atoms: tuple[str, ...],
                           agents: tuple[str, ...], depth: int) -> Formula:
     """Random formula without dynamic boxes, depth-bounded."""
-    if depth <= 0 or rng.random() < 0.2:
-        leaf = rng.choices(("atom", "top", "bot"), weights=(70, 15, 15))[0]
-        if leaf == "atom" and atoms:
-            return Atom(rng.choice(atoms))
-        return TOP if leaf != "bot" else BOT
-    node = rng.choices(
-        ("not", "and", "or", "imp", "iff", "pref", "univ", "does", "obl"),
-        weights=(15, 13, 13, 10, 6, 14, 9, 10, 10),
-    )[0]
-    sub = lambda: random_static_formula(rng, atoms, agents, depth - 1)
-    if node == "not":
-        return Not(sub())
-    if node == "and":
-        return And(sub(), sub())
-    if node == "or":
-        return Or(sub(), sub())
-    if node == "imp":
-        return Imp(sub(), sub())
-    if node == "iff":
-        return Iff(sub(), sub())
-    if node == "pref":
-        return PrefBox(rng.choice(agents), rng.choice(agents), sub())
-    if node == "univ":
-        return Univ(sub())
-    if node == "does":
-        return Does(rng.choice(agents), sub())
-    return CondObl(rng.choice(agents), rng.choice(agents), sub(), sub())
+    return _random_formula(rng, atoms, agents, depth, _STATIC_KINDS, None)
 
 
 def random_dynamic_formula(rng: random.Random, atoms: tuple[str, ...],
                            agents: tuple[str, ...], act: DeonticActionModel,
                            depth: int) -> Formula:
     """Random formula guaranteed to contain at least one dynamic operator."""
-    f = _random_formula_with_boxes(rng, atoms, agents, act, depth)
-    if any(isinstance(g, ActBox) for g in subformulas(f)):
+    f = _random_formula(rng, atoms, agents, depth, _DYNAMIC_KINDS, act)
+    if not is_static(f):
         return f
     action = rng.choice(sorted(act.actions))
-    if rng.random() < 0.5:
-        return ActBox(act.name, action, f)
-    return act_dia(act.name, action, f)
+    wrap = ActBox if rng.random() < 0.5 else act_dia
+    return wrap(act.name, action, f)
 
 
-def _random_formula_with_boxes(rng, atoms, agents, act, depth) -> Formula:
+def _random_formula(rng: random.Random, atoms: tuple[str, ...], agents: tuple[str, ...],
+                    depth: int, kinds: tuple[tuple[str, ...], tuple[int, ...]],
+                    act: DeonticActionModel | None) -> Formula:
     if depth <= 0 or rng.random() < 0.2:
         leaf = rng.choices(("atom", "top", "bot"), weights=(70, 15, 15))[0]
         if leaf == "atom" and atoms:
             return Atom(rng.choice(atoms))
         return TOP if leaf != "bot" else BOT
-    node = rng.choices(
-        ("box", "dia", "not", "and", "or", "imp", "pref", "univ", "does", "obl"),
-        weights=(18, 10, 12, 11, 11, 8, 10, 7, 7, 6),
-    )[0]
-    sub = lambda: _random_formula_with_boxes(rng, atoms, agents, act, depth - 1)
-    if node == "box":
-        return ActBox(act.name, rng.choice(sorted(act.actions)), sub())
-    if node == "dia":
-        return act_dia(act.name, rng.choice(sorted(act.actions)), sub())
+    node = rng.choices(*kinds)[0]
+    sub = lambda: _random_formula(rng, atoms, agents, depth - 1, kinds, act)
+    if node in ("box", "dia"):
+        wrap = ActBox if node == "box" else act_dia
+        return wrap(act.name, rng.choice(sorted(act.actions)), sub())
     if node == "not":
         return Not(sub())
-    if node == "and":
-        return And(sub(), sub())
-    if node == "or":
-        return Or(sub(), sub())
-    if node == "imp":
-        return Imp(sub(), sub())
+    if node in _BINARY:
+        return _BINARY[node](sub(), sub())
     if node == "pref":
         return PrefBox(rng.choice(agents), rng.choice(agents), sub())
     if node == "univ":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeLimitError
-from .model import PrefActionModel, Relation
+from .model import PrefActionModel
 
 EXACT_STATE_BOUND = 10
 
@@ -24,13 +24,6 @@ class IsoWitness:
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)
-
-
-def _effective_pref(model: PrefActionModel, pair: tuple[str, str]) -> Relation:
-    rel = model.pref.get(pair)
-    if rel is None:
-        return frozenset((w, w) for w in model.states)
-    return rel
 
 
 def _signature(model: PrefActionModel, w: str, pref_keys, eq_keys, rels) -> tuple:
@@ -61,8 +54,8 @@ def isomorphic(a: PrefActionModel, b: PrefActionModel) -> IsoWitness | None:
 
     pref_keys = sorted(set(a.pref) | set(b.pref))
     eq_keys = sorted(a.eq)
-    rels_a = {key: _effective_pref(a, key) for key in pref_keys}
-    rels_b = {key: _effective_pref(b, key) for key in pref_keys}
+    rels_a = {key: a.ideality(*key) for key in pref_keys}
+    rels_b = {key: b.ideality(*key) for key in pref_keys}
 
     sig_a = {w: _signature(a, w, pref_keys, eq_keys, rels_a) for w in a.states}
     sig_b = {w: _signature(b, w, pref_keys, eq_keys, rels_b) for w in b.states}
@@ -125,8 +118,8 @@ def verify_isomorphism(a: PrefActionModel, b: PrefActionModel,
             return False
     pref_keys = set(a.pref) | set(b.pref)
     for key in pref_keys:
-        rel_a = _effective_pref(a, key)
-        rel_b = _effective_pref(b, key)
+        rel_a = a.ideality(*key)
+        rel_b = b.ideality(*key)
         if {(mapping[u], mapping[v]) for u, v in rel_a} != rel_b:
             return False
     for agent in a.eq:

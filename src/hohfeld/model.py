@@ -78,14 +78,17 @@ class PrefActionModel:
     eq: Mapping[str, Relation]
     val: Mapping[str, frozenset[str]]
 
+    def ideality(self, i: str, j: str) -> Relation:
+        """The ideality preorder of ``i`` toward ``j``; an undeclared pair means the identity."""
+        rel = self.pref.get((i, j))
+        return frozenset((w, w) for w in self.states) if rel is None else rel
+
     def pref_successors(self, i: str, j: str, w: str) -> list[str]:
         """States at least as ideal as ``w`` for the pair ``i`` toward ``j``."""
         if i not in self.agents or j not in self.agents:
             missing = i if i not in self.agents else j
             raise NameResolutionError(f"agent {missing!r} not in model")
-        rel = self.pref.get((i, j))
-        if rel is None:
-            return [w]
+        rel = self.ideality(i, j)
         return [v for v in sorted(self.states) if (w, v) in rel]
 
     def eq_class(self, agent: str, w: str) -> list[str]:

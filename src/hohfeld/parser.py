@@ -232,7 +232,11 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula; raise FormulaSyntaxError otherwise."""
     parser = _Parser(text)
-    out = parser.formula()
+    try:
+        out = parser.formula()
+    except RecursionError:
+        tok = parser.peek()
+        raise FormulaSyntaxError("formula nested too deeply", tok.line, tok.column) from None
     if parser.peek().kind != "end":
         raise parser.fail({"end of input"})
     return out

@@ -30,7 +30,6 @@ from typing import Callable
 from .actions import ActionModelEnv, DeonticActionModel
 from .errors import NameResolutionError
 from .formula import (
-    BOT,
     TOP,
     ActBox,
     And,
@@ -48,9 +47,11 @@ from .formula import (
     Univ,
     agent_names,
     atom_names,
+    children,
     conj,
-    is_static,
     pref_dia,
+    rebuild,
+    rewrite,
     unfold_head,
 )
 from .generators import (
@@ -83,28 +84,15 @@ def reduce_step(act: DeonticActionModel, action: str, scope: Formula,
         return Imp(pre, post if post is not None else scope)
     if isinstance(scope, Top):
         return TOP
-    if isinstance(scope, Bot):
-        return Imp(pre, BOT)
-    if isinstance(scope, Not):
-        return Imp(pre, Not(ActBox(name, action, scope.arg)))
     if isinstance(scope, And):
         return And(ActBox(name, action, scope.left), ActBox(name, action, scope.right))
-    if isinstance(scope, Or):
-        return Imp(pre, Or(ActBox(name, action, scope.left), ActBox(name, action, scope.right)))
-    if isinstance(scope, Imp):
-        return Imp(pre, Imp(ActBox(name, action, scope.left), ActBox(name, action, scope.right)))
-    if isinstance(scope, Iff):
-        return Imp(pre, Iff(ActBox(name, action, scope.left), ActBox(name, action, scope.right)))
-    if isinstance(scope, Univ):
-        if variant == PAPER_FORM:
-            return Imp(pre, Univ(ActBox(name, action, scope.arg)))
-        boxes = conj([ActBox(name, c, scope.arg) for c in sorted(act.actions)])
-        return Imp(pre, Univ(boxes))
-    if isinstance(scope, Does):
-        if variant == PAPER_FORM:
-            return Imp(pre, Does(scope.agent, ActBox(name, action, scope.arg)))
-        boxes = conj([ActBox(name, c, scope.arg) for c in sorted(act.actions)])
-        return Imp(pre, Does(scope.agent, boxes))
+    if isinstance(scope, (Bot, Not, Or, Imp, Iff)):
+        boxed = [ActBox(name, action, child) for child in children(scope)]
+        return Imp(pre, rebuild(scope, boxed))
+    if isinstance(scope, (Univ, Does)):
+        actions = [action] if variant == PAPER_FORM else sorted(act.actions)
+        boxes = conj([ActBox(name, c, scope.arg) for c in actions])
+        return Imp(pre, rebuild(scope, [boxes]))
     if isinstance(scope, PrefBox):
         i, j = scope.i, scope.j
         stricts = [c for c in sorted(act.actions) if act.strictly_below(i, j, action, c)]
@@ -125,31 +113,23 @@ def translate(f: Formula, env: ActionModelEnv, variant: str = SOUND_FORM) -> For
     With the sound variant the output is evaluation-equivalent to the input
     on every model; the paper variant reproduces the printed rule table,
     mismatches included.
+
+    Boxes go innermost first.  A box over a translated scope is stepped on
+    the way down: each residual box over a child of the scope is stepped in
+    turn, so the scope is not walked again.  Pre- and postconditions are
+    static, so those residual boxes are the only boxes met there.
     """
-    if isinstance(f, ActBox):
-        scope = translate(f.arg, env, variant)
-        stepped = reduce_step(env.get(f.model), f.action, scope, variant)
-        return translate(stepped, env, variant)
-    if isinstance(f, Not):
-        return Not(translate(f.arg, env, variant))
-    if isinstance(f, And):
-        return And(translate(f.left, env, variant), translate(f.right, env, variant))
-    if isinstance(f, Or):
-        return Or(translate(f.left, env, variant), translate(f.right, env, variant))
-    if isinstance(f, Imp):
-        return Imp(translate(f.left, env, variant), translate(f.right, env, variant))
-    if isinstance(f, Iff):
-        return Iff(translate(f.left, env, variant), translate(f.right, env, variant))
-    if isinstance(f, PrefBox):
-        return PrefBox(f.i, f.j, translate(f.arg, env, variant))
-    if isinstance(f, Univ):
-        return Univ(translate(f.arg, env, variant))
-    if isinstance(f, Does):
-        return Does(f.agent, translate(f.arg, env, variant))
-    if isinstance(f, CondObl):
-        return CondObl(f.i, f.j, translate(f.consequent, env, variant),
-                       translate(f.condition, env, variant))
-    return f
+    def push(g: Formula) -> Formula:
+        if isinstance(g, ActBox):
+            return reduce_step(env.get(g.model), g.action, g.arg, variant)
+        return g
+
+    def step(g: Formula) -> Formula:
+        if isinstance(g, ActBox):
+            return rewrite(g, lambda h: h, push)
+        return g
+
+    return rewrite(f, step)
 
 
 @dataclass

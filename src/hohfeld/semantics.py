@@ -187,16 +187,14 @@ def product(model: PrefActionModel, act: DeonticActionModel) -> UpdatedModel:
     new_pref: dict[tuple[str, str], frozenset[tuple[str, str]]] = {}
     for i in sorted(model.agents):
         for j in sorted(model.agents):
-            base = model.pref.get((i, j))
+            base = model.ideality(i, j)
             edges = set()
             for (w, a) in pairs:
                 for (v, b) in pairs:
                     if act.strictly_below(i, j, a, b):
                         edges.add((names[w, a], names[v, b]))
-                    elif act.equivalent(i, j, a, b):
-                        old = (w, v) in base if base is not None else w == v
-                        if old:
-                            edges.add((names[w, a], names[v, b]))
+                    elif act.equivalent(i, j, a, b) and (w, v) in base:
+                        edges.add((names[w, a], names[v, b]))
             new_pref[(i, j)] = frozenset(edges)
 
     new_eq = {

@@ -59,6 +59,22 @@ def test_check_unknown_state_is_an_input_error(files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_too_deep_to_parse_is_an_input_error(files, capsys):
+    code = main(["eval", "--model", files["park"], "--formula", "!" * 1200 + "p"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_eval_too_deep_to_evaluate_is_an_input_error(files, capsys):
+    code = main(["eval", "--model", files["park"], "--formula", " & ".join(["p"] * 20001)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_check_syntax_error_is_an_input_error(files, capsys):
     code = main(["check", "--model", files["park"], "--state", "w1",
                  "--formula", "p &"])

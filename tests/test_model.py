@@ -148,6 +148,12 @@ def test_pref_successors_defaults_to_identity():
     assert m.pref_successors("c", "i", "w2") == ["w2"]
 
 
+def test_ideality_reads_an_undeclared_pair_as_the_identity():
+    m = simple_model()
+    assert m.ideality("i", "c") == {("w1", "w1"), ("w1", "w2"), ("w2", "w2")}
+    assert m.ideality("c", "i") == {("w1", "w1"), ("w2", "w2")}
+
+
 def test_pref_successors_unknown_agent_raises():
     with pytest.raises(NameResolutionError):
         simple_model().pref_successors("i", "zz", "w1")

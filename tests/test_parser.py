@@ -108,6 +108,13 @@ def test_error_reports_expected_tokens():
     assert err.value.expected == {"'/'"}
 
 
+def test_nesting_past_the_recursion_limit_is_a_syntax_error():
+    with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+        parse("!" * 1200 + "p")
+    with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+        parse("(" * 1200 + "p" + ")" * 1200)
+
+
 def test_keywords_cannot_be_atoms_or_agents():
     with pytest.raises(FormulaSyntaxError):
         parse("do do p")

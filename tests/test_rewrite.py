@@ -1,0 +1,187 @@
+"""The generic rewrite against the recursive definitions it replaced, and depth.
+
+``oracle_unfold`` and ``oracle_translate`` are the direct structural
+recursions: the rewrite-based ``unfold_cond_obl`` and ``translate`` must give
+equal formulas, printed the same way.  The depth tests run chains far past
+the recursion limit, which the recursive definitions cannot walk.
+"""
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+
+from hohfeld.actions import ActionModelEnv, make_action_model
+from hohfeld.formula import (
+    ActBox,
+    And,
+    Atom,
+    CondObl,
+    Does,
+    Formula,
+    Iff,
+    Imp,
+    Not,
+    Or,
+    PrefBox,
+    Univ,
+    children,
+    is_static,
+    rebuild,
+    rewrite,
+    size,
+    subformulas,
+    unfold_cond_obl,
+    unfold_head,
+)
+from hohfeld.model import closure
+from hohfeld.parser import parse
+from hohfeld.reduction import VARIANTS, reduce_step, translate
+import hohfeld.scenarios as scenarios
+
+from conftest import formulas, static_formulas
+
+
+def oracle_unfold(f: Formula) -> Formula:
+    if isinstance(f, CondObl):
+        return unfold_head(CondObl(f.i, f.j, oracle_unfold(f.consequent),
+                                   oracle_unfold(f.condition)))
+    if isinstance(f, (Not, Univ)):
+        return type(f)(oracle_unfold(f.arg))
+    if isinstance(f, (And, Or, Imp, Iff)):
+        return type(f)(oracle_unfold(f.left), oracle_unfold(f.right))
+    if isinstance(f, PrefBox):
+        return PrefBox(f.i, f.j, oracle_unfold(f.arg))
+    if isinstance(f, Does):
+        return Does(f.agent, oracle_unfold(f.arg))
+    if isinstance(f, ActBox):
+        return ActBox(f.model, f.action, oracle_unfold(f.arg))
+    return f
+
+
+def oracle_translate(f: Formula, env: ActionModelEnv, variant: str) -> Formula:
+    again = lambda g: oracle_translate(g, env, variant)
+    if isinstance(f, ActBox):
+        return again(reduce_step(env.get(f.model), f.action, again(f.arg), variant))
+    if isinstance(f, (Not, Univ)):
+        return type(f)(again(f.arg))
+    if isinstance(f, (And, Or, Imp, Iff)):
+        return type(f)(again(f.left), again(f.right))
+    if isinstance(f, PrefBox):
+        return PrefBox(f.i, f.j, again(f.arg))
+    if isinstance(f, Does):
+        return Does(f.agent, again(f.arg))
+    if isinstance(f, CondObl):
+        return CondObl(f.i, f.j, again(f.consequent), again(f.condition))
+    return f
+
+
+def _env():
+    a_model = make_action_model(
+        name="A", owner="x", actions=["a1", "a2"],
+        rel={("i", "j"): closure([("a1", "a2")], ["a1", "a2"])},
+        pre={"a1": parse("p"), "a2": parse("!p")},
+        post={"a1": {"q": parse("true")}},
+    )
+    return ActionModelEnv([a_model, scenarios.john_action_model()])
+
+
+def _same(got: Formula, expected: Formula) -> None:
+    assert got == expected
+    assert str(got) == str(expected)
+
+
+@given(formulas)
+def test_unfold_matches_the_recursive_definition(f):
+    _same(unfold_cond_obl(f), oracle_unfold(f))
+
+
+@given(static_formulas)
+def test_unfold_matches_the_recursive_definition_on_static_formulas(f):
+    _same(unfold_cond_obl(f), oracle_unfold(f))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=40)
+@given(f=formulas)
+def test_translate_matches_the_recursive_definition(variant, f):
+    env = _env()
+    _same(translate(f, env, variant), oracle_translate(f, env, variant))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@given(f=static_formulas)
+def test_translate_matches_the_recursive_definition_on_static_formulas(variant, f):
+    env = _env()
+    _same(translate(f, env, variant), oracle_translate(f, env, variant))
+    _same(translate(ActBox("A", "a2", f), env, variant),
+          oracle_translate(ActBox("A", "a2", f), env, variant))
+
+
+@given(formulas)
+def test_rebuild_over_the_same_children_gives_an_equal_node(f):
+    assert rebuild(f, children(f)) == f
+
+
+@given(formulas)
+def test_identity_rewrite_shares_the_whole_input(f):
+    assert rewrite(f, lambda g: g) is f
+
+
+# -- depth ---------------------------------------------------------------------
+
+DEEP = 5000
+P = Atom("p")
+_LAYERS = (
+    Not,
+    lambda g: PrefBox("i", "c", g),
+    Univ,
+    lambda g: Does("i", g),
+    lambda g: And(g, P),
+    lambda g: Or(P, g),
+    lambda g: Imp(g, P),
+    lambda g: Iff(P, g),
+    lambda g: CondObl("i", "c", g, P),
+)
+
+
+def _chain(depth: int, bottom: Formula, layers=_LAYERS) -> Formula:
+    f = bottom
+    for k in range(depth):
+        f = layers[k % len(layers)](f)
+    return f
+
+
+def test_traversals_walk_a_deep_chain():
+    f = _chain(DEEP, ActBox("John", "a1", Atom("f")))
+    binary = sum(1 for k in range(DEEP) if k % len(_LAYERS) >= 4)
+    assert size(f) == DEEP + binary + 2
+    assert sum(1 for _ in subformulas(f)) == size(f)
+    assert not is_static(f)
+    assert is_static(_chain(DEEP, P))
+
+
+def test_unfold_walks_a_deep_chain():
+    f = _chain(DEEP, P)
+    obligations = sum(1 for g in subformulas(f) if isinstance(g, CondObl))
+    out = unfold_cond_obl(f)
+    assert not any(isinstance(g, CondObl) for g in subformulas(out))
+    # each obligation over an atomic condition grows from 2 nodes to 11 besides its consequent
+    assert size(out) == size(f) + 9 * obligations
+
+
+def test_translate_walks_a_deep_chain():
+    john = scenarios.john_action_model()
+    f = _chain(DEEP, ActBox("John", "a1", Atom("f")))
+    out = translate(f, ActionModelEnv([john]))
+    assert is_static(out)
+    # [act John a1] f becomes !d & p -> true: 6 nodes for 2
+    assert size(out) == size(f) + 4
+
+
+@pytest.mark.parametrize("depth", [330, DEEP])
+def test_translate_pushes_a_box_through_a_deep_chain(depth):
+    f = ActBox("John", "a1", _chain(depth, Atom("f"), (Not,)))
+    out = translate(f, ActionModelEnv([scenarios.john_action_model()]))
+    assert is_static(out)
+    # each level becomes !d & p -> !(...), and the bottom !d & p -> true
+    assert size(out) == 6 * depth + 6
