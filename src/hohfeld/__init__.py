@@ -108,8 +108,6 @@ from .scenarios import (
 )
 from .semantics import (
     UpdatedModel,
-    eval_cond_obl,
-    eval_dynamic,
     evaluate,
     executable,
     pair_name,

@@ -32,12 +32,6 @@ class DeonticActionModel:
             return True
         return (a, b) in rel
 
-    def strictly_below(self, i: str, j: str, a: str, b: str) -> bool:
-        return self.le(i, j, a, b) and not self.le(i, j, b, a)
-
-    def equivalent(self, i: str, j: str, a: str, b: str) -> bool:
-        return self.le(i, j, a, b) and self.le(i, j, b, a)
-
     def post_formula(self, action: str, atom: str) -> Formula | None:
         """The assigned postcondition, or None when the atom is untouched."""
         return self.post.get(action, {}).get(atom)

@@ -19,7 +19,7 @@ class Formula:
     __slots__ = ()
 
     def __str__(self) -> str:
-        return _render(self, _PREC_TOP)
+        return _render(self)
 
 
 @dataclass(frozen=True)
@@ -297,36 +297,47 @@ _PREC_AND = 3
 _PREC_UNARY = 4
 
 
-def _render(f: Formula, prec: int) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bot):
-        return "false"
-    if isinstance(f, Not):
-        return "!" + _render(f.arg, _PREC_UNARY)
-    if isinstance(f, PrefBox):
-        return f"[pref {f.i} {f.j}] " + _render(f.arg, _PREC_UNARY)
-    if isinstance(f, Univ):
-        return "U " + _render(f.arg, _PREC_UNARY)
-    if isinstance(f, Does):
-        return f"do {f.agent} " + _render(f.arg, _PREC_UNARY)
-    if isinstance(f, ActBox):
-        return f"[act {f.model} {f.action}] " + _render(f.arg, _PREC_UNARY)
-    if isinstance(f, CondObl):
-        body = _render(f.consequent, _PREC_TOP) + " / " + _render(f.condition, _PREC_TOP)
-        return f"O {f.i} {f.j} ({body})"
-    if isinstance(f, And):
-        text = _render(f.left, _PREC_AND) + " & " + _render(f.right, _PREC_AND + 1)
-        return text if prec <= _PREC_AND else "(" + text + ")"
-    if isinstance(f, Or):
-        text = _render(f.left, _PREC_OR) + " | " + _render(f.right, _PREC_OR + 1)
-        return text if prec <= _PREC_OR else "(" + text + ")"
-    if isinstance(f, Imp):
-        text = _render(f.left, _PREC_IMP + 1) + " -> " + _render(f.right, _PREC_IMP)
-        return text if prec <= _PREC_IMP else "(" + text + ")"
-    if isinstance(f, Iff):
-        text = _render(f.left, _PREC_TOP) + " <-> " + _render(f.right, _PREC_TOP + 1)
-        return text if prec <= _PREC_TOP else "(" + text + ")"
-    raise TypeError(f"not a formula node: {f!r}")
+_INFIX = {        # operator, its precedence, the precedences its operands print at
+    And: (" & ", _PREC_AND, _PREC_AND, _PREC_AND + 1),
+    Or: (" | ", _PREC_OR, _PREC_OR, _PREC_OR + 1),
+    Imp: (" -> ", _PREC_IMP, _PREC_IMP + 1, _PREC_IMP),
+    Iff: (" <-> ", _PREC_TOP, _PREC_TOP, _PREC_TOP + 1),
+}
+_TEXT = {         # a leaf's text, or what comes before the one operand
+    Atom: lambda f: f.name,
+    Top: lambda f: "true",
+    Bot: lambda f: "false",
+    Not: lambda f: "!",
+    PrefBox: lambda f: f"[pref {f.i} {f.j}] ",
+    Univ: lambda f: "U ",
+    Does: lambda f: f"do {f.agent} ",
+    ActBox: lambda f: f"[act {f.model} {f.action}] ",
+}
+
+
+def _render(f: Formula) -> str:
+    """Concrete syntax, left to right, off a stack of what is still to be
+    written: literal text, or an operand with the precedence it prints at."""
+    out: list[str] = []
+    todo: list = [(f, _PREC_TOP)]
+    while todo:
+        piece = todo.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        g, prec = piece
+        kind = type(g)
+        if kind in _INFIX:
+            op, own, left, right = _INFIX[kind]
+            if prec > own:
+                out.append("(")
+                todo.append(")")
+            todo += [(g.right, right), op, (g.left, left)]
+        elif kind is CondObl:
+            out.append(f"O {g.i} {g.j} (")
+            todo += [")", (g.condition, _PREC_TOP), " / ", (g.consequent, _PREC_TOP)]
+        else:
+            out.append(_TEXT[kind](g))
+            if kind not in (Atom, Top, Bot):
+                todo.append((g.arg, _PREC_UNARY))
+    return "".join(out)

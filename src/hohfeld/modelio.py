@@ -71,6 +71,7 @@ def _load_relation(entry: Any, members: frozenset[str], what: str) -> Relation:
             raise ModelFormatError(f"{what} edge {edge!r} is not a pair")
         a, b = edge
         for endpoint in (a, b):
+            _require(endpoint, str, f"{what} edge endpoint")
             if endpoint not in members:
                 raise ModelFormatError(f"{what} edge mentions unknown id {endpoint!r}")
         edges.append((a, b))

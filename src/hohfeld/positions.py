@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .actions import ActionModelEnv, DeonticActionModel
 from .formula import Atom, Formula
-from .semantics import evaluate, executable, pair_name, product
+from .semantics import evaluate, executable, pair_name, product, truth_set
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,10 @@ def no_power(model, state, act: DeonticActionModel,
 def _flipping_actions(model, state, act, position: Formula, env) -> tuple[list[str], bool]:
     env = _env_for(act, env)
     current = evaluate(model, state, position, env)
-    flips = []
-    for a in _executable_actions(model, state, act, env):
-        updated = env.product_of(model, act.name, product)
-        after = evaluate(updated.model, pair_name(state, a), position, env)
-        if after != current:
-            flips.append(a)
+    flips = _executable_actions(model, state, act, env)
+    if flips:  # else the product may be empty
+        after = truth_set(env.product_of(model, act.name, product).model, position, env)
+        flips = [a for a in flips if (pair_name(state, a) in after) != current]
     return flips, current
 
 

@@ -65,7 +65,7 @@ from .generators import (
 )
 from .model import PrefActionModel
 from .modelio import action_model_to_dict, model_to_dict
-from .semantics import evaluate
+from .semantics import evaluate, truth_set
 
 SOUND_FORM = "sound"
 PAPER_FORM = "paper"
@@ -95,10 +95,10 @@ def reduce_step(act: DeonticActionModel, action: str, scope: Formula,
         return Imp(pre, rebuild(scope, [boxes]))
     if isinstance(scope, PrefBox):
         i, j = scope.i, scope.j
-        stricts = [c for c in sorted(act.actions) if act.strictly_below(i, j, action, c)]
-        equivs = [c for c in sorted(act.actions) if act.equivalent(i, j, action, c)]
+        above = [c for c in sorted(act.actions) if act.le(i, j, action, c)]
+        stricts = [c for c in above if not act.le(i, j, c, action)]
         parts = [Univ(ActBox(name, c, scope.arg)) for c in stricts]
-        parts += [PrefBox(i, j, ActBox(name, c, scope.arg)) for c in equivs]
+        parts += [PrefBox(i, j, ActBox(name, c, scope.arg)) for c in above if c not in stricts]
         return Imp(pre, conj(parts))
     if isinstance(scope, CondObl):
         return reduce_step(act, action, unfold_head(scope), variant)
@@ -176,29 +176,33 @@ class CounterexampleReport:
         return out
 
 
+def _disagreement(model: PrefActionModel, lhs: Formula, rhs: Formula,
+                  env: ActionModelEnv | None, **fields) -> CounterexampleReport | None:
+    """The least state where the two sides differ, reported and re-verified."""
+    left, right = truth_set(model, lhs, env), truth_set(model, rhs, env)
+    if left == right:
+        return None
+    w = min(left ^ right)
+    report = CounterexampleReport(lhs=lhs, rhs=rhs, model=model, state=w,
+                                  lhs_value=w in left, rhs_value=w in right, **fields)
+    if not report.verify(env):
+        raise AssertionError("counterexample failed to reproduce")
+    return report
+
+
 def check_equivalence(f: Formula, env: ActionModelEnv, variant: str = SOUND_FORM,
                       cfg: GeneratorConfig = GeneratorConfig()) -> CounterexampleReport | None:
     """Search random models for a state where ``f`` and its translation differ."""
     translated = translate(f, env, variant)
     atoms, agents = _required_vocabulary(f, env)
+    single = env.get(env.names()[0]) if len(env.names()) == 1 else None
     rng = random.Random(cfg.seed)
     for index in range(cfg.sample_count):
         model = random_model(cfg, rng, atoms=atoms, agents=agents)
-        sample_env = _fresh_env(env)
-        for w in sorted(model.states):
-            lhs = evaluate(model, w, f, sample_env)
-            rhs = evaluate(model, w, translated, sample_env)
-            if lhs != rhs:
-                names = env.names()
-                single = env.get(names[0]) if len(names) == 1 else None
-                report = CounterexampleReport(
-                    axiom="translation", variant=variant, lhs=f, rhs=translated,
-                    model=model, state=w, lhs_value=lhs, rhs_value=rhs,
-                    action_model=single, sample_index=index,
-                )
-                if not report.verify(sample_env):
-                    raise AssertionError("counterexample failed to reproduce")
-                return report
+        report = _disagreement(model, f, translated, _fresh_env(env), axiom="translation",
+                               variant=variant, action_model=single, sample_index=index)
+        if report is not None:
+            return report
     return None
 
 
@@ -392,18 +396,9 @@ def audit_axiom(name: str, cfg: GeneratorConfig = GeneratorConfig(),
         act = random_action_model(cfg, model, rng) if schema.needs_action_model else None
         lhs, rhs = schema.build(rng, model, act, variant)
         env = ActionModelEnv([act]) if act is not None else None
-        for w in sorted(model.states):
-            lhs_value = evaluate(model, w, lhs, env)
-            rhs_value = evaluate(model, w, rhs, env)
-            if lhs_value != rhs_value:
-                report = CounterexampleReport(
-                    axiom=name,
-                    variant=variant if schema.variant_sensitive else None,
-                    lhs=lhs, rhs=rhs, model=model, state=w,
-                    lhs_value=lhs_value, rhs_value=rhs_value,
-                    action_model=act, sample_index=index,
-                )
-                if not report.verify():
-                    raise AssertionError("counterexample failed to reproduce")
-                return report
+        report = _disagreement(model, lhs, rhs, env, axiom=name, action_model=act,
+                               variant=variant if schema.variant_sensitive else None,
+                               sample_index=index)
+        if report is not None:
+            return report
     return None

@@ -34,6 +34,7 @@ from .formula import (
     PrefBox,
     Top,
     Univ,
+    children,
 )
 from .model import PrefActionModel
 
@@ -61,67 +62,91 @@ def evaluate(model: PrefActionModel, state: str, formula: Formula,
     """
     if state not in model.states:
         raise NameResolutionError(f"state {state!r} not in model")
-    return _eval(model, state, formula, env)
+    return state in truth_set(model, formula, env)
 
 
 def truth_set(model: PrefActionModel, formula: Formula,
               env: ActionModelEnv | None = None) -> frozenset[str]:
-    """All states where the formula holds."""
-    return frozenset(w for w in model.states if _eval(model, w, formula, env))
+    """All states where the formula holds.
+
+    Each node is labelled once, after its operands, on an explicit stack.
+    A dynamic box's operand is its scope on the product, built only if the
+    action is executable somewhere.  Each label keeps its node alive.
+    """
+    base = (model, {}, {})  # a model, its labels by node id, its successor maps
+    products: dict[int, tuple] = {}
+    todo: list[tuple] = [(base, formula, None, None)]
+    while todo:
+        here, f, kids, there = todo.pop()
+        if kids is None:
+            if id(f) in here[1]:
+                continue
+            kids, there = _operands(here, f, env, products)
+            if kids:
+                todo.append((here, f, kids, there))
+                todo.extend([(there, g, None, None) for g in kids])
+                continue
+        args = [there[1][id(g)][1] for g in kids]
+        here[1][id(f)] = (f, _label(here, f, args, there))
+    return base[1][id(formula)][1]
 
 
-def _eval(model: PrefActionModel, w: str, f: Formula, env: ActionModelEnv | None) -> bool:
-    if isinstance(f, Atom):
-        states = model.val.get(f.name)
+def _operands(here: tuple, f: Formula, env: ActionModelEnv | None, products: dict) -> tuple:
+    """The nodes ``f``'s label is computed from, and the model they are labelled on."""
+    if not isinstance(f, ActBox):
+        return children(f), here
+    if env is None:
+        raise NameResolutionError(
+            f"formula mentions action model {f.model!r} but no action models were supplied"
+        )
+    act = env.get(f.model)
+    if f.action not in act.actions:
+        raise NameResolutionError(f"action {f.action!r} not in action model {act.name!r}")
+    if not truth_set(here[0], act.pre[f.action], env):
+        return (), None
+    after = env.product_of(here[0], f.model, product).model
+    return (f.arg,), products.setdefault(id(after), (after, {}, {}))
+
+
+def _label(here: tuple, f: Formula, args: list, there: tuple | None) -> frozenset[str]:
+    m, _, maps = here
+    everywhere = m.states
+    kind = type(f)
+    if kind is Atom:
+        states = m.val.get(f.name)
         if states is None:
             raise NameResolutionError(f"atom {f.name!r} not in model vocabulary")
-        return w in states
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Not):
-        return not _eval(model, w, f.arg, env)
-    if isinstance(f, And):
-        return _eval(model, w, f.left, env) and _eval(model, w, f.right, env)
-    if isinstance(f, Or):
-        return _eval(model, w, f.left, env) or _eval(model, w, f.right, env)
-    if isinstance(f, Imp):
-        return (not _eval(model, w, f.left, env)) or _eval(model, w, f.right, env)
-    if isinstance(f, Iff):
-        return _eval(model, w, f.left, env) == _eval(model, w, f.right, env)
-    if isinstance(f, PrefBox):
-        return all(_eval(model, v, f.arg, env) for v in model.pref_successors(f.i, f.j, w))
-    if isinstance(f, Univ):
-        return all(_eval(model, v, f.arg, env) for v in sorted(model.states))
-    if isinstance(f, Does):
-        return all(_eval(model, v, f.arg, env) for v in model.eq_class(f.agent, w))
-    if isinstance(f, CondObl):
-        return eval_cond_obl(model, w, f.i, f.j, f.consequent, f.condition, env)
-    if isinstance(f, ActBox):
-        return eval_dynamic(model, w, f, env)
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def eval_cond_obl(model: PrefActionModel, w: str, i: str, j: str,
-                  consequent: Formula, condition: Formula,
-                  env: ActionModelEnv | None = None) -> bool:
-    """The forall-exists-forall obligation clause, evaluated directly."""
-    for v in model.pref_successors(i, j, w):
-        if not _eval(model, v, condition, env):
-            continue
-        witnessed = False
-        for u in model.pref_successors(i, j, v):
-            if not _eval(model, u, condition, env):
-                continue
-            if all(_eval(model, s, consequent, env)
-                   for s in model.pref_successors(i, j, u)
-                   if _eval(model, s, condition, env)):
-                witnessed = True
-                break
-        if not witnessed:
-            return False
-    return True
+        return states & everywhere
+    if kind is Imp:
+        return (everywhere - args[0]) | args[1]
+    if kind is And:
+        return args[0] & args[1]
+    if kind is Not:
+        return everywhere - args[0]
+    if kind is Top:
+        return everywhere
+    if kind is Or:
+        return args[0] | args[1]
+    if kind is Iff:
+        return everywhere - (args[0] ^ args[1])
+    if kind is Bot:
+        return frozenset()
+    if kind is Univ:
+        return everywhere if args[0] == everywhere else frozenset()
+    if kind is ActBox:  # false where the pair-state w*a exists and the scope fails
+        fails = there[0].states - args[0] if there else ()
+        return frozenset(w for w in everywhere if pair_name(w, f.action) not in fails)
+    key = f.agent if kind is Does else (f.i, f.j)
+    if key not in maps:  # built once per model and relation
+        maps[key] = {w: frozenset(m.eq_class(f.agent, w) if kind is Does
+                                  else m.pref_successors(f.i, f.j, w)) for w in everywhere}
+    succ = maps[key]
+    if kind is CondObl:
+        psi, phi = args
+        witnesses = {u for u in phi if succ[u] & phi <= psi}
+        return frozenset(w for w in everywhere
+                         if all(succ[v] & witnesses for v in succ[w] & phi))
+    return frozenset(w for w in everywhere if succ[w] <= args[0])
 
 
 def executable(model: PrefActionModel, state: str, act: DeonticActionModel,
@@ -131,21 +156,7 @@ def executable(model: PrefActionModel, state: str, act: DeonticActionModel,
         raise NameResolutionError(f"action {action!r} not in action model {act.name!r}")
     if state not in model.states:
         raise NameResolutionError(f"state {state!r} not in model")
-    return _eval(model, state, act.pre[action], env)
-
-
-def eval_dynamic(model: PrefActionModel, w: str, f: ActBox,
-                 env: ActionModelEnv | None) -> bool:
-    """Dynamic box: vacuously true when not executable, else truth after update."""
-    if env is None:
-        raise NameResolutionError(
-            f"formula mentions action model {f.model!r} but no action models were supplied"
-        )
-    act = env.get(f.model)
-    if not executable(model, w, act, f.action, env):
-        return True
-    updated = env.product_of(model, f.model, product)
-    return _eval(updated.model, pair_name(w, f.action), f.arg, env)
+    return state in truth_set(model, act.pre[action], env)
 
 
 def product(model: PrefActionModel, act: DeonticActionModel) -> UpdatedModel:
@@ -172,30 +183,26 @@ def product(model: PrefActionModel, act: DeonticActionModel) -> UpdatedModel:
                     "outside the model vocabulary"
                 )
 
-    pairs = [
-        (w, a)
-        for w in sorted(model.states)
-        for a in sorted(act.actions)
-        if _eval(model, w, act.pre[a], None)
-    ]
+    actions = sorted(act.actions)
+    pre = {a: truth_set(model, act.pre[a]) for a in actions}
+    pairs = [(w, a) for w in sorted(model.states) for a in actions if w in pre[a]]
     if not pairs:
         raise EmptyProductError(
             f"no action of {act.name!r} is executable anywhere in the model"
         )
     names = {wa: pair_name(*wa) for wa in pairs}
 
+    every = frozenset((a, b) for a in actions for b in actions)
     new_pref: dict[tuple[str, str], frozenset[tuple[str, str]]] = {}
     for i in sorted(model.agents):
         for j in sorted(model.agents):
             base = model.ideality(i, j)
-            edges = set()
-            for (w, a) in pairs:
-                for (v, b) in pairs:
-                    if act.strictly_below(i, j, a, b):
-                        edges.add((names[w, a], names[v, b]))
-                    elif act.equivalent(i, j, a, b) and (w, v) in base:
-                        edges.add((names[w, a], names[v, b]))
-            new_pref[(i, j)] = frozenset(edges)
+            le = act.rel.get((i, j), every)
+            new_pref[(i, j)] = frozenset(
+                (names[w, a], names[v, b])
+                for (w, a) in pairs for (v, b) in pairs
+                if (a, b) in le and ((b, a) not in le or (w, v) in base)
+            )
 
     new_eq = {
         agent: frozenset(
@@ -209,16 +216,11 @@ def product(model: PrefActionModel, act: DeonticActionModel) -> UpdatedModel:
 
     new_val = {}
     for atom in sorted(model.val):
-        holds = set()
-        for (w, a) in pairs:
+        after = {}
+        for a in sorted({a for _, a in pairs}):
             post = act.post_formula(a, atom)
-            if post is None:
-                value = w in model.val[atom]
-            else:
-                value = _eval(model, w, post, None)
-            if value:
-                holds.add(names[w, a])
-        new_val[atom] = frozenset(holds)
+            after[a] = model.val[atom] if post is None else truth_set(model, post)
+        new_val[atom] = frozenset(names[w, a] for (w, a) in pairs if w in after[a])
 
     updated = PrefActionModel(
         states=frozenset(names.values()),

@@ -67,12 +67,11 @@ def test_eval_too_deep_to_parse_is_an_input_error(files, capsys):
     assert "Traceback" not in err
 
 
-def test_eval_too_deep_to_evaluate_is_an_input_error(files, capsys):
+def test_eval_answers_a_deeply_nested_conjunction(files, capsys):
+    # 20 001 conjuncts nest 20 000 levels to the left; evaluation answers at any depth
     code = main(["eval", "--model", files["park"], "--formula", " & ".join(["p"] * 20001)])
-    assert code == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "nested too deeply" in err
-    assert "Traceback" not in err
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == ["w1", "w2"]
 
 
 def test_check_syntax_error_is_an_input_error(files, capsys):
@@ -87,6 +86,17 @@ def test_check_missing_file_is_an_input_error(files, capsys):
                  "--state", "w1", "--formula", "p"])
     assert code == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+def test_check_malformed_edge_is_an_input_error(files, capsys):
+    bad = files["dir"] / "bad_edge.json"
+    data = json.loads((files["dir"] / "parking_model.json").read_text())
+    data["pref"]["i->c"]["edges"] = [["w1", ["w2"]]]
+    bad.write_text(json.dumps(data))
+    code = main(["check", "--model", str(bad), "--state", "w1", "--formula", "p"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # -- eval -----------------------------------------------------------------------

@@ -1,0 +1,138 @@
+"""The bottom-up labeller against the per-state evaluator it replaced.
+
+``oracle_eval`` is the direct reading of the truth conditions: it walks the
+formula again at every state, follows each modality state by state, and
+evaluates a dynamic box's scope at the one pair-state ``w*a`` of the
+product.  ``truth_set`` must give the same set on random models, for static
+formulas and for dynamic ones over two action models.
+"""
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from hohfeld.actions import ActionModelEnv, make_action_model
+from hohfeld.errors import NameResolutionError
+from hohfeld.formula import (
+    ActBox,
+    And,
+    Atom,
+    Bot,
+    CondObl,
+    Does,
+    Iff,
+    Imp,
+    Not,
+    Or,
+    PrefBox,
+    Top,
+    Univ,
+)
+from hohfeld.generators import GeneratorConfig, random_model
+from hohfeld.model import closure
+from hohfeld.parser import parse
+from hohfeld.semantics import pair_name, product, truth_set
+import hohfeld.scenarios as scenarios
+
+from conftest import formulas, static_formulas
+
+
+def oracle_eval(model, w, f, env):
+    if isinstance(f, Atom):
+        states = model.val.get(f.name)
+        if states is None:
+            raise NameResolutionError(f"atom {f.name!r} not in model vocabulary")
+        return w in states
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bot):
+        return False
+    if isinstance(f, Not):
+        return not oracle_eval(model, w, f.arg, env)
+    if isinstance(f, And):
+        return oracle_eval(model, w, f.left, env) and oracle_eval(model, w, f.right, env)
+    if isinstance(f, Or):
+        return oracle_eval(model, w, f.left, env) or oracle_eval(model, w, f.right, env)
+    if isinstance(f, Imp):
+        return (not oracle_eval(model, w, f.left, env)) or oracle_eval(model, w, f.right, env)
+    if isinstance(f, Iff):
+        return oracle_eval(model, w, f.left, env) == oracle_eval(model, w, f.right, env)
+    if isinstance(f, PrefBox):
+        return all(oracle_eval(model, v, f.arg, env)
+                   for v in model.pref_successors(f.i, f.j, w))
+    if isinstance(f, Univ):
+        return all(oracle_eval(model, v, f.arg, env) for v in sorted(model.states))
+    if isinstance(f, Does):
+        return all(oracle_eval(model, v, f.arg, env) for v in model.eq_class(f.agent, w))
+    if isinstance(f, CondObl):
+        return oracle_cond_obl(model, w, f.i, f.j, f.consequent, f.condition, env)
+    if isinstance(f, ActBox):
+        return oracle_dynamic(model, w, f, env)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def oracle_cond_obl(model, w, i, j, consequent, condition, env):
+    """The forall-exists-forall obligation clause, evaluated directly."""
+    for v in model.pref_successors(i, j, w):
+        if not oracle_eval(model, v, condition, env):
+            continue
+        witnessed = False
+        for u in model.pref_successors(i, j, v):
+            if not oracle_eval(model, u, condition, env):
+                continue
+            if all(oracle_eval(model, s, consequent, env)
+                   for s in model.pref_successors(i, j, u)
+                   if oracle_eval(model, s, condition, env)):
+                witnessed = True
+                break
+        if not witnessed:
+            return False
+    return True
+
+
+def oracle_dynamic(model, w, f, env):
+    """Vacuously true when not executable, else truth after the update."""
+    act = env.get(f.model)
+    if not oracle_eval(model, w, act.pre[f.action], env):
+        return True
+    updated = env.product_of(model, f.model, product)
+    return oracle_eval(updated.model, pair_name(w, f.action), f.arg, env)
+
+
+def oracle_truth_set(model, f, env=None):
+    return {w for w in model.states if oracle_eval(model, w, f, env)}
+
+
+# the conftest vocabulary, plus the atoms John's action model reads and writes
+ATOMS = ("V", "d", "f", "p", "q", "r")
+AGENTS = ("c", "i", "j")
+
+
+def _model(seed: int):
+    cfg = GeneratorConfig(max_states=4)
+    return random_model(cfg, random.Random(seed), atoms=ATOMS, agents=AGENTS)
+
+
+def _env():
+    a_model = make_action_model(
+        name="A", owner="x", actions=["a1", "a2"],
+        rel={("i", "j"): closure([("a1", "a2")], ["a1", "a2"])},
+        pre={"a1": parse("p"), "a2": parse("!p")},
+        post={"a1": {"q": parse("true")}},
+    )
+    return ActionModelEnv([a_model, scenarios.john_action_model()])
+
+
+@settings(max_examples=150)
+@given(f=static_formulas, seed=st.integers(0, 2**32 - 1))
+def test_labeller_matches_the_per_state_oracle_on_static_formulas(f, seed):
+    model = _model(seed)
+    assert truth_set(model, f) == oracle_truth_set(model, f)
+
+
+@settings(max_examples=150)
+@given(f=formulas, seed=st.integers(0, 2**32 - 1))
+def test_labeller_matches_the_per_state_oracle_on_dynamic_formulas(f, seed):
+    model = _model(seed)
+    assert truth_set(model, f, _env()) == oracle_truth_set(model, f, _env())

@@ -75,6 +75,7 @@ def test_loader_applies_closure_unless_marked_closed():
     (lambda d: d["pref"].update({"i-c": {"edges": []}}), "i->j"),
     (lambda d: d["pref"].update({"x->c": {"edges": []}}), "unknown agent"),
     (lambda d: d["pref"]["i->c"].update(edges=[["w1", "zz"]]), "unknown id"),
+    (lambda d: d["pref"]["i->c"].update(edges=[["w1", ["w2"]]]), "edge endpoint"),
     (lambda d: d["eq"].update({"x": {"blocks": []}}), "unknown agent"),
     (lambda d: d["eq"]["i"].update(blocks=[["w1"], ["w1", "w2"], ["w3"], ["w4"]]), "overlap"),
     (lambda d: d["eq"]["i"].update(blocks=[["w1"]]), "cover"),
@@ -95,6 +96,7 @@ def test_model_format_errors(mutate, message_part):
     (lambda d: d["pre"].update({"a1": "!d &"}), "pre a1"),
     (lambda d: d["pre"].update({"zz": "true"}), "unknown action"),
     (lambda d: d["post"].update({"zz": {}}), "unknown action"),
+    (lambda d: d["rel"]["i->c"].update(edges=[["a1", ["a2"]]]), "edge endpoint"),
 ])
 def test_action_model_format_errors(mutate, message_part):
     data = json.loads(json.dumps(JOHN_DICT))

@@ -3,7 +3,8 @@
 ``oracle_unfold`` and ``oracle_translate`` are the direct structural
 recursions: the rewrite-based ``unfold_cond_obl`` and ``translate`` must give
 equal formulas, printed the same way.  The depth tests run chains far past
-the recursion limit, which the recursive definitions cannot walk.
+the recursion limit, which the recursive definitions cannot walk, through
+the rewrites, the labeller and the printer.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from hohfeld.formula import (
 from hohfeld.model import closure
 from hohfeld.parser import parse
 from hohfeld.reduction import VARIANTS, reduce_step, translate
+from hohfeld.semantics import evaluate, truth_set
 import hohfeld.scenarios as scenarios
 
 from conftest import formulas, static_formulas
@@ -176,6 +178,8 @@ def test_translate_walks_a_deep_chain():
     assert is_static(out)
     # [act John a1] f becomes !d & p -> true: 6 nodes for 2
     assert size(out) == size(f) + 4
+    park = scenarios.parking_model()
+    assert truth_set(park, f, ActionModelEnv([john])) == truth_set(park, out)
 
 
 @pytest.mark.parametrize("depth", [330, DEEP])
@@ -185,3 +189,12 @@ def test_translate_pushes_a_box_through_a_deep_chain(depth):
     assert is_static(out)
     # each level becomes !d & p -> !(...), and the bottom !d & p -> true
     assert size(out) == 6 * depth + 6
+
+
+def test_evaluation_and_printing_walk_a_deep_chain():
+    depth = 100_000
+    f = _chain(depth, P, (Not,))
+    park = scenarios.parking_model()
+    assert truth_set(park, f) == {"w1", "w2"}
+    assert evaluate(park, "w3", f) is False
+    assert str(f) == "!" * depth + "p"

@@ -11,7 +11,7 @@ from hohfeld.errors import NameResolutionError
 from hohfeld.formula import Atom, CondObl, unfold_cond_obl
 from hohfeld.generators import GeneratorConfig, random_model, random_static_formula
 from hohfeld.parser import parse
-from hohfeld.semantics import eval_cond_obl, evaluate, truth_set
+from hohfeld.semantics import evaluate, truth_set
 import hohfeld.scenarios as scenarios
 
 from conftest import static_formulas
@@ -57,11 +57,6 @@ def test_parking_truth_sets(park):
     assert truth_set(park, parse("O i c (do i d / p)")) == {"w1", "w2", "w3", "w4"}
 
 
-def test_obligation_agrees_with_direct_clause_entry_point(park):
-    assert eval_cond_obl(park, "w1", "i", "c", parse("do i d"), parse("p")) is True
-    assert eval_cond_obl(park, "w1", "i", "c", parse("do i d"), parse("true")) is False
-
-
 # -- contract model: hand-checked truth values ------------------------------
 
 CONTRACT_CASES = [
@@ -92,6 +87,14 @@ def test_unknown_state_raises(park):
 def test_unknown_atom_raises(park):
     with pytest.raises(NameResolutionError):
         evaluate(park, "w1", parse("nosuchatom"))
+
+
+def test_unknown_name_raises_whatever_the_other_operand(park):
+    for text in ("true | nosuchatom", "false & nosuchatom", "false -> [pref i zz] p"):
+        with pytest.raises(NameResolutionError):
+            truth_set(park, parse(text))
+        with pytest.raises(NameResolutionError):
+            evaluate(park, "w1", parse(text))
 
 
 def test_unknown_agent_raises(park):
