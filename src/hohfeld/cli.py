@@ -2,8 +2,7 @@
 
 Subcommands: check, eval, update, power, translate, audit, iso, scenario.
 Exit codes: 0 when everything passed, 1 when a check failed or an audit
-outcome contradicted the expectation for the axiom, 2 on input errors,
-formulas nested too deeply among them.
+outcome contradicted the expectation for the axiom, 2 on input errors.
 """
 from __future__ import annotations
 
@@ -229,9 +228,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except HohfeldError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except RecursionError:
-        print("error: formula nested too deeply for this command", file=sys.stderr)
         return EXIT_INPUT
 
 

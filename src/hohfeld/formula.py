@@ -14,59 +14,75 @@ from typing import Callable, Iterator, Sequence
 
 
 class Formula:
-    """Base class for AST nodes.  Nodes are frozen, hashable, comparable."""
+    """Base class for AST nodes: frozen, and compared and hashed by structure at any depth."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return _render(self)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is not b:
+                if type(a) is not type(b) or _SHAPE[type(a)][1](a) != _SHAPE[type(b)][1](b):
+                    return False
+                todo += zip(children(a), children(b))
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        # the preorder of (class, names) pairs determines the tree
+        return hash(tuple((type(g), _SHAPE[type(g)][1](g)) for g in subformulas(self)))
+
+
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrefBox(Formula):
     """Truth in every state at least as ideal, judged for agent ``i`` toward ``j``."""
 
@@ -75,14 +91,14 @@ class PrefBox(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Univ(Formula):
     """Truth in every state of the model."""
 
     arg: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Does(Formula):
     """Truth in every state the agent cannot distinguish by its own action."""
 
@@ -90,7 +106,7 @@ class Does(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CondObl(Formula):
     """Conditional obligation of ``i`` toward ``j``: consequent given condition."""
 
@@ -100,7 +116,7 @@ class CondObl(Formula):
     condition: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActBox(Formula):
     """After executing ``action`` of the named action model, if executable."""
 
@@ -174,20 +190,21 @@ def disj(parts) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Structure.  For each node class: its children, and the node rebuilt over
-# new children with its other fields kept.  This is the only place that
-# lists them; only the printer and the evaluator keep rules per node class.
+# Structure.  For each node class: its operands, and the names it carries,
+# which its constructor takes first.  This is the only place that lists them;
+# only the printer and the evaluator keep rules per node class.
 
-_SAME_CLASS = lambda f, kids: type(f)(*kids)
+_NO_NAMES = lambda f: ()
 
 _SHAPE = {
-    **dict.fromkeys((Atom, Top, Bot), (lambda f: (), lambda f, kids: f)),
-    **dict.fromkeys((Not, Univ), (lambda f: (f.arg,), _SAME_CLASS)),
-    **dict.fromkeys((And, Or, Imp, Iff), (lambda f: (f.left, f.right), _SAME_CLASS)),
-    PrefBox: (lambda f: (f.arg,), lambda f, kids: PrefBox(f.i, f.j, *kids)),
-    Does: (lambda f: (f.arg,), lambda f, kids: Does(f.agent, *kids)),
-    CondObl: (lambda f: (f.consequent, f.condition), lambda f, kids: CondObl(f.i, f.j, *kids)),
-    ActBox: (lambda f: (f.arg,), lambda f, kids: ActBox(f.model, f.action, *kids)),
+    Atom: (lambda f: (), lambda f: (f.name,)),
+    **dict.fromkeys((Top, Bot), (lambda f: (), _NO_NAMES)),
+    **dict.fromkeys((Not, Univ), (lambda f: (f.arg,), _NO_NAMES)),
+    **dict.fromkeys((And, Or, Imp, Iff), (lambda f: (f.left, f.right), _NO_NAMES)),
+    PrefBox: (lambda f: (f.arg,), lambda f: (f.i, f.j)),
+    Does: (lambda f: (f.arg,), lambda f: (f.agent,)),
+    CondObl: (lambda f: (f.consequent, f.condition), lambda f: (f.i, f.j)),
+    ActBox: (lambda f: (f.arg,), lambda f: (f.model, f.action)),
 }
 
 
@@ -196,8 +213,8 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 
 def rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
-    """The node ``f`` over new children, its other fields unchanged."""
-    return _SHAPE[type(f)][1](f, kids)
+    """The node ``f`` over new children, its names unchanged."""
+    return type(f)(*_SHAPE[type(f)][1](f), *kids)
 
 
 def rewrite(f: Formula, step: Callable[[Formula], Formula],
@@ -288,21 +305,20 @@ def unfold_cond_obl(f: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# Concrete syntax.  Binary connectives: node class -> (symbol, binding power,
+# groups right?), read by the parser and the printer alike.  Prefix operators
+# bind more tightly than all four.
+
+INFIX = {
+    Iff: ("<->", 1, False),
+    Imp: ("->", 2, True),
+    Or: ("|", 3, False),
+    And: ("&", 4, False),
+}
+PREFIX_POWER = 5
+
 # Rendering.  str(f) emits concrete syntax that reparses to an equal AST.
 
-_PREC_TOP = 0     # <->
-_PREC_IMP = 1     # ->  (right associative)
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
-
-
-_INFIX = {        # operator, its precedence, the precedences its operands print at
-    And: (" & ", _PREC_AND, _PREC_AND, _PREC_AND + 1),
-    Or: (" | ", _PREC_OR, _PREC_OR, _PREC_OR + 1),
-    Imp: (" -> ", _PREC_IMP, _PREC_IMP + 1, _PREC_IMP),
-    Iff: (" <-> ", _PREC_TOP, _PREC_TOP, _PREC_TOP + 1),
-}
 _TEXT = {         # a leaf's text, or what comes before the one operand
     Atom: lambda f: f.name,
     Top: lambda f: "true",
@@ -319,7 +335,7 @@ def _render(f: Formula) -> str:
     """Concrete syntax, left to right, off a stack of what is still to be
     written: literal text, or an operand with the precedence it prints at."""
     out: list[str] = []
-    todo: list = [(f, _PREC_TOP)]
+    todo: list = [(f, 0)]
     while todo:
         piece = todo.pop()
         if type(piece) is str:
@@ -327,17 +343,18 @@ def _render(f: Formula) -> str:
             continue
         g, prec = piece
         kind = type(g)
-        if kind in _INFIX:
-            op, own, left, right = _INFIX[kind]
-            if prec > own:
+        if kind in INFIX:
+            op, power, right = INFIX[kind]
+            if prec > power:
                 out.append("(")
                 todo.append(")")
-            todo += [(g.right, right), op, (g.left, left)]
+            # the operand on the grouping side may hold the same connective bare
+            todo += [(g.right, power + (not right)), f" {op} ", (g.left, power + right)]
         elif kind is CondObl:
             out.append(f"O {g.i} {g.j} (")
-            todo += [")", (g.condition, _PREC_TOP), " / ", (g.consequent, _PREC_TOP)]
+            todo += [")", (g.condition, 0), " / ", (g.consequent, 0)]
         else:
             out.append(_TEXT[kind](g))
             if kind not in (Atom, Top, Bot):
-                todo.append((g.arg, _PREC_UNARY))
+                todo.append((g.arg, PREFIX_POWER))
     return "".join(out)

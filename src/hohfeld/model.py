@@ -18,22 +18,16 @@ Relation = frozenset[Edge]
 
 
 def closure(edges: Iterable[Edge], states: Iterable[str]) -> Relation:
-    """Reflexive-transitive closure of ``edges`` over ``states``."""
+    """Reflexive-transitive closure of ``edges`` over ``states`` (Warshall's
+    algorithm: after step ``k``, paths through ``k`` are shortcut)."""
     states = list(states)
     succ: dict[str, set[str]] = {w: {w} for w in states}
     for a, b in edges:
         succ[a].add(b)
-    changed = True
-    while changed:
-        changed = False
+    for k in states:
         for w in states:
-            reach = set(succ[w])
-            for v in list(reach):
-                extra = succ[v] - reach
-                if extra:
-                    reach |= extra
-                    changed = True
-            succ[w] = reach
+            if k in succ[w]:
+                succ[w] |= succ[k]
     return frozenset((w, v) for w in states for v in succ[w])
 
 
@@ -83,16 +77,15 @@ class PrefActionModel:
         rel = self.pref.get((i, j))
         return frozenset((w, w) for w in self.states) if rel is None else rel
 
-    def pref_successors(self, i: str, j: str, w: str) -> list[str]:
-        """States at least as ideal as ``w`` for the pair ``i`` toward ``j``."""
+    def pref_map(self, i: str, j: str) -> dict[str, set[str]]:
+        """Each state's states at least as ideal, for the pair ``i`` toward ``j``."""
         if i not in self.agents or j not in self.agents:
             missing = i if i not in self.agents else j
             raise NameResolutionError(f"agent {missing!r} not in model")
-        rel = self.ideality(i, j)
-        return [v for v in sorted(self.states) if (w, v) in rel]
+        return _successors(self.ideality(i, j), self.states)
 
-    def eq_class(self, agent: str, w: str) -> list[str]:
-        """States the agent cannot distinguish from ``w`` by its own conduct."""
+    def eq_map(self, agent: str) -> dict[str, set[str]]:
+        """Each state's states the agent cannot distinguish from it by its own conduct."""
         if agent not in self.agents:
             raise NameResolutionError(f"agent {agent!r} not in model")
         rel = self.eq.get(agent)
@@ -100,7 +93,24 @@ class PrefActionModel:
             raise NameResolutionError(
                 f"agent {agent!r} has no action-indistinguishability relation"
             )
-        return [v for v in sorted(self.states) if (w, v) in rel]
+        return _successors(rel, self.states)
+
+    def pref_successors(self, i: str, j: str, w: str) -> list[str]:
+        """States at least as ideal as ``w`` for the pair ``i`` toward ``j``."""
+        return sorted(self.pref_map(i, j).get(w, ()))
+
+    def eq_class(self, agent: str, w: str) -> list[str]:
+        """States the agent cannot distinguish from ``w`` by its own conduct."""
+        return sorted(self.eq_map(agent).get(w, ()))
+
+
+def _successors(rel: Relation, states: frozenset[str]) -> dict[str, set[str]]:
+    """The relation as a map from each state to its successors, in one pass."""
+    succ: dict[str, set[str]] = {w: set() for w in states}
+    for a, b in rel:
+        if a in succ and b in succ:
+            succ[a].add(b)
+    return succ
 
 
 def make_model(

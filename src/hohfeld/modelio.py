@@ -16,10 +16,10 @@ Action model files:
      "pre":  {"a1": "!d & p", "a2": "d | !p"},
      "post": {"a1": {"f": "true"}, "a2": {"f": "false"}}}
 
-Unless a relation is marked ``"closed": true`` the loader takes the
-reflexive-transitive closure of the listed edges (for ``eq`` the blocks
-are a partition, so no closure question arises).  Dumps are deterministic:
-keys and lists are sorted, relations are written closed.
+The loader takes the reflexive-transitive closure of the listed edges; a
+relation marked ``"closed": true`` must already equal it (for ``eq`` the
+blocks are a partition, so no closure question arises).  Dumps are
+deterministic: keys and lists are sorted, relations are written closed.
 """
 from __future__ import annotations
 
@@ -75,9 +75,11 @@ def _load_relation(entry: Any, members: frozenset[str], what: str) -> Relation:
             if endpoint not in members:
                 raise ModelFormatError(f"{what} edge mentions unknown id {endpoint!r}")
         edges.append((a, b))
-    if entry.get("closed", False):
-        return frozenset(edges)
-    return closure(edges, members)
+    closed = closure(edges, members)
+    if entry.get("closed", False) and closed != frozenset(edges):
+        missing = list(min(closed - frozenset(edges)))
+        raise ModelFormatError(f"{what} is marked closed but lacks {missing} of its closure")
+    return closed
 
 
 def model_from_dict(data: Any) -> PrefActionModel:
@@ -231,3 +233,5 @@ def _read_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise ModelFormatError(f"{path}: invalid JSON: {err}") from err
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ModelFormatError(f"{path}: JSON nested too deeply") from None

@@ -1,44 +1,42 @@
-"""Recursive-descent parser for the formula language.
+"""Operator-precedence parser for the formula language.
 
-Grammar (whitespace-insensitive; binding tightens downward, ``->`` is
-right-associative, ``&``/``|``/``<->`` associate left):
+Grammar (whitespace-insensitive):
 
-    formula := iff
-    iff     := imp { "<->" imp }
-    imp     := or [ "->" imp ]
-    or      := and { "|" and }
-    and     := unary { "&" unary }
-    unary   := "!" unary
-             | "[" "pref" AG AG "]" unary | "<" "pref" AG AG ">" unary
-             | "[" "act" ID ID "]" unary  | "<" "act" ID ID ">" unary
-             | "U" unary | "E" unary
-             | "do" AG unary
+    formula := operand { BINARY operand }
+    operand := "!" operand
+             | "[" "pref" AG AG "]" operand | "<" "pref" AG AG ">" operand
+             | "[" "act" ID ID "]" operand  | "<" "act" ID ID ">" operand
+             | "U" operand | "E" operand
+             | "do" AG operand
              | "O" AG AG "(" formula "/" formula ")"
              | "P" AG AG "(" formula "/" formula ")"
              | "true" | "false" | ATOM | "(" formula ")"
 
-``AG``/``ID``/``ATOM`` are identifier tokens that are not reserved words.
-Diamonds, ``E``, and ``P`` expand into their negation-based definitions.
+``BINARY`` is a connective of ``formula.INFIX``, whose binding powers and
+grouping decide how a chain of them nests (``&`` binds tightest, then
+``|``, ``->``, ``<->``; only ``->`` groups to the right); prefix operators
+bind more tightly than all of them.  ``AG``/``ID``/``ATOM`` are identifier
+tokens that are not reserved words.  Diamonds, ``E``, and ``P`` expand
+into their negation-based definitions.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import FormulaSyntaxError
 from .formula import (
     BOT,
+    INFIX,
+    PREFIX_POWER,
     TOP,
     ActBox,
-    And,
     Atom,
     CondObl,
     Does,
     Formula,
-    Iff,
-    Imp,
     Not,
-    Or,
     PrefBox,
     Univ,
     act_dia,
@@ -48,6 +46,13 @@ from .formula import (
 )
 
 KEYWORDS = frozenset({"true", "false", "do", "pref", "act", "U", "E", "O", "P"})
+
+# symbol -> (node class, least power of a frame it pops, power of its own frame)
+_BINARY = {op: (kind, power + right, power) for kind, (op, power, right) in INFIX.items()}
+_CONSTANT = {"true": TOP, "false": BOT}
+_PREFIX = {"!": Not, "U": Univ, "E": exist}
+_BOXES = {"[": ("]", PrefBox, ActBox), "<": (">", pref_dia, act_dia)}
+_OBLIGATIONS = {"O": CondObl, "P": perm}
 
 _TOKEN_RE = re.compile(
     r"\s+|(?P<op><->|->|[()\[\]<>!&|/])|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
@@ -127,116 +132,79 @@ class _Parser:
         self.advance()
         return tok.text
 
-    # grammar rules -------------------------------------------------------
+    # grammar ---------------------------------------------------------------
 
     def formula(self) -> Formula:
-        out = self.imp()
-        while self.peek().kind == "op" and self.peek().text == "<->":
-            self.advance()
-            out = Iff(out, self.imp())
-        return out
+        """One formula, left to right.  What still waits for its last operand
+        is a frame on one stack: (binding power, constructor of that operand,
+        closing token).  Prefix operators and connectives have no closing
+        token; brackets have power 0, so only their closing token pops them."""
+        stack: list[tuple] = []
+        while True:
+            out = self.operand(stack)
+            while True:
+                binary = _BINARY.get(self.tokens[self.index].text)
+                # a connective first completes each frame that binds at least as
+                # tightly (strictly more for one that groups right); any other
+                # token completes every frame above the innermost bracket
+                least = 1 if binary is None else binary[1]
+                while stack and stack[-1][0] >= least:
+                    out = stack.pop()[1](out)
+                if binary is not None:
+                    self.index += 1
+                    stack.append((binary[2], partial(binary[0], out), None))
+                    break
+                if not stack:
+                    return out
+                _, build, closer = stack.pop()
+                self.expect_op(closer)
+                if closer == "/":  # the consequent is done; read the condition
+                    stack.append((0, partial(build, out), ")"))
+                    break
+                if build is not None:
+                    out = build(out)
 
-    def imp(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "op" and self.peek().text == "->":
-            self.advance()
-            return Imp(left, self.imp())
-        return left
-
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
-        while self.peek().kind == "op" and self.peek().text == "|":
-            self.advance()
-            out = Or(out, self.conjunction())
-        return out
-
-    def conjunction(self) -> Formula:
-        out = self.unary()
-        while self.peek().kind == "op" and self.peek().text == "&":
-            self.advance()
-            out = And(out, self.unary())
-        return out
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "op":
-            if tok.text == "!":
-                self.advance()
-                return Not(self.unary())
-            if tok.text == "(":
-                self.advance()
-                inner = self.formula()
-                self.expect_op(")")
-                return inner
-            if tok.text == "[":
-                self.advance()
-                word = self.expect_keyword("pref", "act")
-                if word == "pref":
-                    i = self.expect_name("agent name")
-                    j = self.expect_name("agent name")
-                    self.expect_op("]")
-                    return PrefBox(i, j, self.unary())
-                model = self.expect_name("action-model name")
-                action = self.expect_name("action name")
-                self.expect_op("]")
-                return ActBox(model, action, self.unary())
-            if tok.text == "<":
-                self.advance()
-                word = self.expect_keyword("pref", "act")
-                if word == "pref":
-                    i = self.expect_name("agent name")
-                    j = self.expect_name("agent name")
-                    self.expect_op(">")
-                    return pref_dia(i, j, self.unary())
-                model = self.expect_name("action-model name")
-                action = self.expect_name("action name")
-                self.expect_op(">")
-                return act_dia(model, action, self.unary())
-            raise self.fail({"formula"})
-        if tok.kind == "ident":
-            if tok.text == "true":
-                self.advance()
-                return TOP
-            if tok.text == "false":
-                self.advance()
-                return BOT
-            if tok.text == "U":
-                self.advance()
-                return Univ(self.unary())
-            if tok.text == "E":
-                self.advance()
-                return exist(self.unary())
-            if tok.text == "do":
-                self.advance()
-                agent = self.expect_name("agent name")
-                return Does(agent, self.unary())
-            if tok.text in ("O", "P"):
-                self.advance()
+    def operand(self, stack: list) -> Formula:
+        """Push the prefix operators and opening brackets in front of an
+        operand onto ``stack``; return the atom or constant that ends it."""
+        while True:
+            tok = self.tokens[self.index]
+            text = tok.text
+            self.index += 1
+            if tok.kind == "ident" and text not in KEYWORDS:
+                return Atom(text)
+            if text in _CONSTANT:
+                return _CONSTANT[text]
+            if text in _PREFIX:
+                stack.append((PREFIX_POWER, _PREFIX[text], None))
+            elif text == "do":
+                stack.append((PREFIX_POWER, partial(Does, self.expect_name("agent name")), None))
+            elif text in _BOXES:
+                closer, on_pref, on_act = _BOXES[text]
+                if self.expect_keyword("pref", "act") == "pref":
+                    build = partial(on_pref, self.expect_name("agent name"),
+                                    self.expect_name("agent name"))
+                else:
+                    build = partial(on_act, self.expect_name("action-model name"),
+                                    self.expect_name("action name"))
+                self.expect_op(closer)
+                stack.append((PREFIX_POWER, build, None))
+            elif text == "(":
+                stack.append((0, None, ")"))
+            elif text in _OBLIGATIONS:
                 i = self.expect_name("agent name")
                 j = self.expect_name("agent name")
                 self.expect_op("(")
-                consequent = self.formula()
-                self.expect_op("/")
-                condition = self.formula()
-                self.expect_op(")")
-                if tok.text == "O":
-                    return CondObl(i, j, consequent, condition)
-                return perm(i, j, consequent, condition)
-            if tok.text in KEYWORDS:
+                stack.append((0, partial(_OBLIGATIONS[text], i, j), "/"))
+            else:
+                self.index -= 1  # the error names the token itself
                 raise self.fail({"formula"})
-            self.advance()
-            return Atom(tok.text)
-        raise self.fail({"formula"})
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula; raise FormulaSyntaxError otherwise."""
     parser = _Parser(text)
-    try:
-        out = parser.formula()
-    except RecursionError:
-        tok = parser.peek()
-        raise FormulaSyntaxError("formula nested too deeply", tok.line, tok.column) from None
+    out = parser.formula()
     if parser.peek().kind != "end":
         raise parser.fail({"end of input"})
     return out

@@ -138,8 +138,7 @@ def _label(here: tuple, f: Formula, args: list, there: tuple | None) -> frozense
         return frozenset(w for w in everywhere if pair_name(w, f.action) not in fails)
     key = f.agent if kind is Does else (f.i, f.j)
     if key not in maps:  # built once per model and relation
-        maps[key] = {w: frozenset(m.eq_class(f.agent, w) if kind is Does
-                                  else m.pref_successors(f.i, f.j, w)) for w in everywhere}
+        maps[key] = m.eq_map(f.agent) if kind is Does else m.pref_map(f.i, f.j)
     succ = maps[key]
     if kind is CondObl:
         psi, phi = args

@@ -59,12 +59,10 @@ def test_check_unknown_state_is_an_input_error(files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_eval_too_deep_to_parse_is_an_input_error(files, capsys):
+def test_eval_answers_a_deeply_nested_negation(files, capsys):
     code = main(["eval", "--model", files["park"], "--formula", "!" * 1200 + "p"])
-    assert code == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "nested too deeply" in err
-    assert "Traceback" not in err
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == ["w1", "w2"]
 
 
 def test_eval_answers_a_deeply_nested_conjunction(files, capsys):
@@ -86,6 +84,27 @@ def test_check_missing_file_is_an_input_error(files, capsys):
                  "--state", "w1", "--formula", "p"])
     assert code == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_deeply_nested_json_is_an_input_error(files, capsys):
+    deep = files["dir"] / "deep.json"
+    deep.write_text('{"states": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code = main(["eval", "--model", str(deep), "--formula", "p"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "JSON nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_check_relation_falsely_marked_closed_is_an_input_error(files, capsys):
+    bad = files["dir"] / "not_closed.json"
+    data = json.loads((files["dir"] / "parking_model.json").read_text())
+    data["pref"]["i->c"] = {"edges": [["w1", "w2"]], "closed": True}
+    bad.write_text(json.dumps(data))
+    code = main(["check", "--model", str(bad), "--state", "w1", "--formula", "[pref i c] p"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "marked closed" in err
 
 
 def test_check_malformed_edge_is_an_input_error(files, capsys):

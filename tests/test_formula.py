@@ -48,6 +48,21 @@ def test_nodes_are_hashable_and_comparable():
     assert len({a, b}) == 1
 
 
+def test_equality_and_hash_work_at_any_depth():
+    def chain(depth, agent="c"):
+        f = Atom("p")
+        for k in range(depth):
+            f = Not(f) if k % 2 else PrefBox("i", agent if k == 0 else "c", f)
+        return f
+
+    a, b = chain(100_000), chain(100_000)
+    assert a is not b and a == b
+    assert hash(a) == hash(b)
+    assert b in {a} and len({a, b}) == 1
+    assert a != chain(100_000, agent="j")  # differs only in the innermost box's agent
+    assert a != chain(99_999) and a != Not(Not(chain(99_999)))
+
+
 @pytest.mark.parametrize("derived, core", [
     (pref_dia("i", "c", Atom("p")), Not(PrefBox("i", "c", Not(Atom("p"))))),
     (exist(Atom("p")), Not(Univ(Not(Atom("p"))))),

@@ -61,12 +61,23 @@ def test_loader_applies_closure_unless_marked_closed():
     assert ("w1", "w3") in open_rel.pref[("i", "i")]
     assert ("w1", "w1") in open_rel.pref[("i", "i")]
 
-    closed_rel = model_from_dict({
-        "states": ["w1", "w2", "w3"], "agents": ["i"],
-        "pref": {"i->i": {"edges": [["w1", "w2"], ["w2", "w3"]], "closed": True}},
-        "eq": {}, "val": {},
+    with pytest.raises(ModelFormatError, match="marked closed but lacks"):
+        model_from_dict({
+            "states": ["w1", "w2", "w3"], "agents": ["i"],
+            "pref": {"i->i": {"edges": [["w1", "w2"], ["w2", "w3"]], "closed": True}},
+            "eq": {}, "val": {},
+        })
+
+
+def test_loader_verifies_relations_marked_closed():
+    edges = [["w1", "w1"], ["w1", "w2"], ["w2", "w2"]]
+    loaded = model_from_dict({
+        "states": ["w1", "w2"], "agents": ["i"],
+        "pref": {"i->i": {"edges": edges, "closed": True}}, "eq": {}, "val": {},
     })
-    assert ("w1", "w3") not in closed_rel.pref[("i", "i")]
+    assert loaded.pref[("i", "i")] == {tuple(e) for e in edges}
+    with pytest.raises(ModelFormatError, match=r"rel i->c .* lacks \['a1', 'a1'\]"):
+        action_model_from_dict({**JOHN_DICT, "rel": {"i->c": {"edges": [], "closed": True}}})
 
 
 @pytest.mark.parametrize("mutate, message_part", [

@@ -2,17 +2,19 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from hohfeld.errors import FormulaSyntaxError
 from hohfeld.formula import (
     BOT,
+    INFIX,
     TOP,
     ActBox,
     And,
     Atom,
     CondObl,
     Does,
+    Formula,
     Iff,
     Imp,
     Not,
@@ -24,7 +26,7 @@ from hohfeld.formula import (
     perm,
     pref_dia,
 )
-from hohfeld.parser import parse
+from hohfeld.parser import KEYWORDS, parse
 
 from conftest import formulas
 
@@ -108,11 +110,25 @@ def test_error_reports_expected_tokens():
     assert err.value.expected == {"'/'"}
 
 
-def test_nesting_past_the_recursion_limit_is_a_syntax_error():
-    with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
-        parse("!" * 1200 + "p")
-    with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
-        parse("(" * 1200 + "p" + ")" * 1200)
+def _negations(depth: int, f=P):
+    for _ in range(depth):
+        f = Not(f)
+    return f
+
+
+@pytest.mark.parametrize("depth", [1200, 100_000])
+def test_parse_answers_at_any_nesting_depth(depth):
+    assert parse("!" * depth + "p") == _negations(depth)
+    assert parse("(" * depth + "p" + ")" * depth) == P
+
+
+def test_round_trip_at_depth():
+    chain = Q
+    for _ in range(250):
+        chain = And(Q, chain)  # right-nested, so every level prints parentheses
+    assert parse(str(chain)) == chain
+    deep = _negations(100_000)
+    assert parse(str(deep)) == deep
 
 
 def test_keywords_cannot_be_atoms_or_agents():
@@ -125,3 +141,26 @@ def test_keywords_cannot_be_atoms_or_agents():
 @given(formulas)
 def test_print_parse_round_trip(f):
     assert parse(str(f)) == f
+
+
+def _parses_or_fails_cleanly(text):
+    try:
+        f = parse(text)
+    except FormulaSyntaxError:
+        return
+    assert isinstance(f, Formula)
+    assert parse(str(f)) == f
+
+
+@given(st.text())
+def test_parse_any_text(text):
+    _parses_or_fails_cleanly(text)
+
+
+TOKENS = sorted(KEYWORDS) + [op for op, _, _ in INFIX.values()] + [
+    "(", ")", "[", "]", "<", ">", "!", "/", "p", "q", "i", "c", "John", "a1"]
+
+
+@given(st.lists(st.sampled_from(TOKENS), max_size=40).map(" ".join))
+def test_parse_any_token_sequence(text):
+    _parses_or_fails_cleanly(text)
