@@ -4,8 +4,10 @@
 Each audit searches seeded random models (and action models, where the
 schema needs one) for a state where the two sides of the axiom disagree.
 The sound variant should survive the whole table; the paper variant of the
-universal and agency reduction rules should each produce a verified
-counterexample.
+rules in ``PAPER_ERRATA`` (the universal and agency reductions) should each
+produce a verified counterexample.  The ``expected`` column says which; the
+script exits 1 when any row contradicts it, as ``hohfeld audit`` does for
+one axiom.
 
 Run:  python3 scripts/audit_axioms.py [--samples N] [--seed N]
 """
@@ -13,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 
 from hohfeld.generators import GeneratorConfig
-from hohfeld.reduction import AXIOMS, VARIANTS, audit_axiom
+from hohfeld.reduction import AXIOMS, PAPER_ERRATA, PAPER_FORM, VARIANTS, audit_axiom
 
 
-def main() -> None:
+def main() -> int:
     cli = argparse.ArgumentParser(description=__doc__)
     cli.add_argument("--samples", type=int, default=GeneratorConfig().sample_count)
     cli.add_argument("--seed", type=int, default=GeneratorConfig().seed)
@@ -27,26 +30,36 @@ def main() -> None:
     args = cli.parse_args()
     cfg = GeneratorConfig(seed=args.seed, sample_count=args.samples)
 
-    header = f"{'axiom':<12} {'variant':<8} {'result':<16} detail"
+    header = f"{'axiom':<12} {'variant':<8} {'expected':<16} {'result':<16} detail"
     print(header)
     print("-" * len(header))
     found = []
+    contradicted = 0
     for name in sorted(AXIOMS):
         for variant in VARIANTS:
             report = audit_axiom(name, cfg, variant)
-            if report is None:
-                print(f"{name:<12} {variant:<8} {'none':<16}")
-                continue
-            detail = (f"sample {report.sample_index}, state {report.state}, "
-                      f"lhs={report.lhs_value} rhs={report.rhs_value}")
-            print(f"{name:<12} {variant:<8} {'counterexample':<16} {detail}")
-            found.append(report)
+            expected = ("counterexample" if name in PAPER_ERRATA and variant == PAPER_FORM
+                        else "none")
+            result = "none" if report is None else "counterexample"
+            detail = "" if report is None else (
+                f"sample {report.sample_index}, state {report.state}, "
+                f"lhs={report.lhs_value} rhs={report.rhs_value}")
+            if result != expected:
+                contradicted += 1
+                detail = f"UNEXPECTED {detail}".rstrip()
+            print(f"{name:<12} {variant:<8} {expected:<16} {result:<16} {detail}".rstrip())
+            if report is not None:
+                found.append(report)
 
     if args.show_counterexamples:
         for report in found:
             print()
             print(json.dumps(report.to_json_dict(), indent=2))
+    if contradicted:
+        print(f"{contradicted} outcome(s) contradict the expected column", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -90,6 +90,7 @@ from .positions import (
 )
 from .reduction import (
     AXIOMS,
+    PAPER_ERRATA,
     PAPER_FORM,
     SOUND_FORM,
     CounterexampleReport,

@@ -69,7 +69,7 @@ def validate_action_model(act: DeonticActionModel) -> ValidationReport:
         if "*" in action:
             report.violations.append(Violation("actions", "reserved character '*'", (action,)))
         if action not in act.pre:
-            report.violations.append(Violation("pre", "missing precondition", (action,)))
+            report.violations.append(Violation("pre", "no precondition", (action,)))
     for action, formula in sorted(act.pre.items()):
         if action not in act.actions:
             report.violations.append(Violation("pre", "unknown action", (action,)))

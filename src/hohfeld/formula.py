@@ -8,18 +8,38 @@ and privilege are derived constructors, not AST nodes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import is_not
 from typing import Callable, Iterator, Sequence
 
 
 class Formula:
-    """Base class for AST nodes: frozen, and compared and hashed by structure at any depth."""
+    """Base class for AST nodes: frozen, and compared, hashed and repr'd by
+    structure at any depth."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return _render(self)
+
+    def __repr__(self) -> str:
+        # the dataclass repr text, written off one stack of literal text and
+        # nodes still to write
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            g = todo.pop()
+            if isinstance(g, str):
+                out.append(g)
+                continue
+            pieces = [f"{type(g).__name__}("]
+            for k, field in enumerate(fields(g)):
+                value = getattr(g, field.name)
+                pieces += [f"{', ' if k else ''}{field.name}=",
+                           value if isinstance(value, Formula) else repr(value)]
+            pieces.append(")")
+            todo += reversed(pieces)
+        return "".join(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):
@@ -38,51 +58,51 @@ class Formula:
         return hash(tuple((type(g), _SHAPE[type(g)][1](g)) for g in subformulas(self)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class PrefBox(Formula):
     """Truth in every state at least as ideal, judged for agent ``i`` toward ``j``."""
 
@@ -91,14 +111,14 @@ class PrefBox(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Univ(Formula):
     """Truth in every state of the model."""
 
     arg: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Does(Formula):
     """Truth in every state the agent cannot distinguish by its own action."""
 
@@ -106,7 +126,7 @@ class Does(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class CondObl(Formula):
     """Conditional obligation of ``i`` toward ``j``: consequent given condition."""
 
@@ -116,7 +136,7 @@ class CondObl(Formula):
     condition: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ActBox(Formula):
     """After executing ``action`` of the named action model, if executable."""
 

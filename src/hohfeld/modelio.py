@@ -18,8 +18,10 @@ Action model files:
 
 The loader takes the reflexive-transitive closure of the listed edges; a
 relation marked ``"closed": true`` must already equal it (for ``eq`` the
-blocks are a partition, so no closure question arises).  Dumps are
-deterministic: keys and lists are sorted, relations are written closed.
+blocks are a partition, so no closure question arises).  A loaded action
+model passes ``validate_action_model``, so its pre- and postconditions are
+static.  Dumps are deterministic: keys and lists are sorted, relations are
+written closed.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .actions import DeonticActionModel
+from .actions import DeonticActionModel, validate_action_model
 from .errors import FormulaSyntaxError, ModelFormatError
 from .formula import Formula
 from .model import (
@@ -156,39 +158,31 @@ def action_model_from_dict(data: Any) -> DeonticActionModel:
     name = _require(data.get("name"), str, "name")
     owner = _require(data.get("owner"), str, "owner")
     actions = frozenset(_string_list(data.get("actions"), "actions"))
-    if not actions:
-        raise ModelFormatError("actions must be nonempty")
-    for action in sorted(actions):
-        if "*" in action:
-            raise ModelFormatError(f"action id {action!r} contains reserved character '*'")
 
     rel = {}
     for key, entry in _require(data.get("rel", {}), dict, "rel").items():
         pair = _parse_pair_key(key, "rel")
         rel[pair] = _load_relation(entry, actions, f"rel {key}")
 
-    pre = {}
-    for action, text in _require(data.get("pre", {}), dict, "pre").items():
-        if action not in actions:
-            raise ModelFormatError(f"pre mentions unknown action {action!r}")
-        pre[action] = _parse_formula_field(text, f"pre {action}")
-    for action in sorted(actions):
-        if action not in pre:
-            raise ModelFormatError(f"action {action!r} has no precondition")
-
+    pre = {
+        action: _parse_formula_field(text, f"pre {action}")
+        for action, text in _require(data.get("pre", {}), dict, "pre").items()
+    }
     post = {}
     for action, assign in _require(data.get("post", {}), dict, "post").items():
-        if action not in actions:
-            raise ModelFormatError(f"post mentions unknown action {action!r}")
         _require(assign, dict, f"post {action}")
         post[action] = {
             atom: _parse_formula_field(text, f"post {action} {atom}")
             for atom, text in assign.items()
         }
 
-    return DeonticActionModel(
+    act = DeonticActionModel(
         name=name, owner=owner, actions=actions, rel=rel, pre=pre, post=post
     )
+    report = validate_action_model(act)
+    if not report.ok:
+        raise ModelFormatError(f"action model {name!r}: " + "; ".join(map(str, report.violations)))
+    return act
 
 
 def action_model_to_dict(act: DeonticActionModel) -> dict:

@@ -19,7 +19,7 @@ The ideality-box rule is the same in both variants: actions strictly above
 ``a`` contribute universal conjuncts, actions equivalent to ``a`` keep the
 old box.  ``audit_axiom`` hunts for countermodels to named axiom schemas
 over seeded random instances; sound schemas should survive, the paper
-variants of the universal/agency rules should not.
+variants of the universal/agency rules (``PAPER_ERRATA``) should not.
 """
 from __future__ import annotations
 
@@ -59,7 +59,6 @@ from .generators import (
     ATOM_POOL,
     GeneratorConfig,
     random_action_model,
-    random_dynamic_formula,
     random_model,
     random_static_formula,
 )
@@ -70,6 +69,10 @@ from .semantics import evaluate, truth_set
 SOUND_FORM = "sound"
 PAPER_FORM = "paper"
 VARIANTS = (SOUND_FORM, PAPER_FORM)
+
+# The axioms whose rule the paper variant states differently, and gets wrong:
+# their paper-variant audits, and only those, should find a counterexample.
+PAPER_ERRATA = frozenset({"univRed", "doRed"})
 
 
 def reduce_step(act: DeonticActionModel, action: str, scope: Formula,
@@ -176,149 +179,107 @@ class CounterexampleReport:
         return out
 
 
-def _disagreement(model: PrefActionModel, lhs: Formula, rhs: Formula,
-                  env: ActionModelEnv | None, **fields) -> CounterexampleReport | None:
-    """The least state where the two sides differ, reported and re-verified."""
-    left, right = truth_set(model, lhs, env), truth_set(model, rhs, env)
-    if left == right:
-        return None
-    w = min(left ^ right)
-    report = CounterexampleReport(lhs=lhs, rhs=rhs, model=model, state=w,
-                                  lhs_value=w in left, rhs_value=w in right, **fields)
-    if not report.verify(env):
-        raise AssertionError("counterexample failed to reproduce")
-    return report
+def _search(cfg: GeneratorConfig, draw: Callable, **fields) -> CounterexampleReport | None:
+    """The first seeded sample whose two sides differ somewhere, or None.
+
+    ``draw(rng)`` gives one sample: a model, the two sides, and the action
+    models they may mention, which get a fresh environment per sample.  The
+    report names the least state where the sides differ, and is re-verified.
+    """
+    rng = random.Random(cfg.seed)
+    for index in range(cfg.sample_count):
+        model, lhs, rhs, acts = draw(rng)
+        env = ActionModelEnv(acts)
+        left, right = truth_set(model, lhs, env), truth_set(model, rhs, env)
+        if left != right:
+            w = min(left ^ right)
+            report = CounterexampleReport(
+                lhs=lhs, rhs=rhs, model=model, state=w, lhs_value=w in left,
+                rhs_value=w in right, action_model=acts[0] if len(acts) == 1 else None,
+                sample_index=index, **fields)
+            if not report.verify(env):
+                raise AssertionError("counterexample failed to reproduce")
+            return report
+    return None
 
 
 def check_equivalence(f: Formula, env: ActionModelEnv, variant: str = SOUND_FORM,
                       cfg: GeneratorConfig = GeneratorConfig()) -> CounterexampleReport | None:
     """Search random models for a state where ``f`` and its translation differ."""
     translated = translate(f, env, variant)
-    atoms, agents = _required_vocabulary(f, env)
-    single = env.get(env.names()[0]) if len(env.names()) == 1 else None
-    rng = random.Random(cfg.seed)
-    for index in range(cfg.sample_count):
-        model = random_model(cfg, rng, atoms=atoms, agents=agents)
-        report = _disagreement(model, f, translated, _fresh_env(env), axiom="translation",
-                               variant=variant, action_model=single, sample_index=index)
-        if report is not None:
-            return report
-    return None
+    acts = [env.get(name) for name in env.names()]
+    atoms, agents = _vocabulary(f, acts)
+    return _search(cfg, lambda rng: (random_model(cfg, rng, atoms=atoms, agents=agents),
+                                     f, translated, acts),
+                   axiom="translation", variant=variant)
 
 
-def _fresh_env(env: ActionModelEnv) -> ActionModelEnv:
-    return ActionModelEnv([env.get(name) for name in env.names()])
-
-
-def _required_vocabulary(f: Formula, env: ActionModelEnv) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    atoms = set(atom_names(f))
-    agents = set(agent_names(f))
-    for name in env.names():
-        act = env.get(name)
-        for pre in act.pre.values():
-            atoms |= atom_names(pre)
-            agents |= agent_names(pre)
-        for assign in act.post.values():
-            for atom, g in assign.items():
-                atoms.add(atom)
-                atoms |= atom_names(g)
-                agents |= agent_names(g)
-        for (i, j) in act.rel:
-            agents.add(i)
-            agents.add(j)
-    for fallback in ATOM_POOL:
-        if atoms:
-            break
-        atoms.add(fallback)
-    for fallback in AGENT_POOL:
-        if agents:
-            break
-        agents.add(fallback)
-    return tuple(sorted(atoms)), tuple(sorted(agents))
+def _vocabulary(f: Formula, acts: list[DeonticActionModel]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The atoms and agents that ``f`` and the action models mention, each
+    falling back to its pool's first name when there are none."""
+    posts = [assign for act in acts for assign in act.post.values()]
+    parts = [f, *(g for act in acts for g in act.pre.values()),
+             *(g for assign in posts for g in assign.values())]
+    atoms = set().union(*posts, *map(atom_names, parts))
+    agents = {name for act in acts for pair in act.rel for name in pair}.union(
+        *map(agent_names, parts))
+    return tuple(sorted(atoms)) or ATOM_POOL[:1], tuple(sorted(agents)) or AGENT_POOL[:1]
 
 
 # ---------------------------------------------------------------------------
-# Axiom audits.
+# Axiom audits.  Every builder takes (rng, model) and draws names before
+# formulas: the draws are the seeded sample stream, so their order is fixed.
 
 
-@dataclass(frozen=True)
-class _AxiomSchema:
-    name: str
-    needs_action_model: bool
-    variant_sensitive: bool
-    # build(rng, model, act, variant) -> (lhs, rhs)
-    build: Callable
-
-
-def _pick_agents(rng: random.Random, model: PrefActionModel) -> tuple[str, str]:
+def _agents(rng: random.Random, model: PrefActionModel, count: int) -> list[str]:
     agents = sorted(model.agents)
-    return rng.choice(agents), rng.choice(agents)
+    return [rng.choice(agents) for _ in range(count)]
 
 
 def _static(rng: random.Random, model: PrefActionModel, depth: int = 3) -> Formula:
-    atoms = tuple(sorted(model.val))
-    agents = tuple(sorted(model.agents))
-    return random_static_formula(rng, atoms, agents, depth)
+    return random_static_formula(rng, tuple(sorted(model.val)), tuple(sorted(model.agents)), depth)
 
 
-def _reduction_schema(head_builder: Callable) -> Callable:
-    def build(rng, model, act, variant):
-        action = rng.choice(sorted(act.actions))
-        head = head_builder(rng, model, act)
-        lhs = ActBox(act.name, action, head)
-        rhs = reduce_step(act, action, head, variant)
-        return lhs, rhs
+def _box(cls: type, arity: int) -> Callable:
+    """A picker of random ``cls`` boxes: it draws the box's ``arity`` agents
+    and returns the box as a function of its scope."""
+    def pick(rng, model):
+        names = _agents(rng, model, arity)
+        return lambda phi: cls(*names, phi)
+    return pick
+
+
+_PREF, _UNIV, _DOES = _box(PrefBox, 2), _box(Univ, 0), _box(Does, 1)
+
+
+def _boxed(pick: Callable) -> Callable:
+    return lambda rng, model: pick(rng, model)(_static(rng, model, 2))
+
+
+def _box_laws(pick: Callable, s5: bool) -> Callable:
+    """K, T and 4 for a random box, and 5 too when ``s5``."""
+    def build(rng, model):
+        box = pick(rng, model)
+        phi, psi = _static(rng, model), _static(rng, model)
+        k_axiom = Imp(box(Imp(phi, psi)), Imp(box(phi), box(psi)))
+        t_axiom = Imp(box(phi), phi)
+        four = Imp(box(phi), box(box(phi)))
+        five = Imp(Not(box(phi)), box(Not(box(phi))))
+        return And(And(k_axiom, t_axiom), And(four, five) if s5 else four)
     return build
 
 
-def _valid_schema(instance_builder: Callable) -> Callable:
-    def build(rng, model, act, variant):
-        return instance_builder(rng, model), TOP
+def _inclusion(pick: Callable) -> Callable:
+    """U phi implies a random box over phi."""
+    def build(rng, model):
+        box = pick(rng, model)
+        phi = _static(rng, model)
+        return Imp(Univ(phi), box(phi))
     return build
-
-
-def _s4_pref(rng, model):
-    i, j = _pick_agents(rng, model)
-    phi, psi = _static(rng, model), _static(rng, model)
-    k_axiom = Imp(PrefBox(i, j, Imp(phi, psi)), Imp(PrefBox(i, j, phi), PrefBox(i, j, psi)))
-    t_axiom = Imp(PrefBox(i, j, phi), phi)
-    four = Imp(PrefBox(i, j, phi), PrefBox(i, j, PrefBox(i, j, phi)))
-    return And(And(k_axiom, t_axiom), four)
-
-
-def _s5_univ(rng, model):
-    phi, psi = _static(rng, model), _static(rng, model)
-    k_axiom = Imp(Univ(Imp(phi, psi)), Imp(Univ(phi), Univ(psi)))
-    t_axiom = Imp(Univ(phi), phi)
-    four = Imp(Univ(phi), Univ(Univ(phi)))
-    five = Imp(Not(Univ(phi)), Univ(Not(Univ(phi))))
-    return And(And(k_axiom, t_axiom), And(four, five))
-
-
-def _s5_does(rng, model):
-    agent = rng.choice(sorted(model.agents))
-    phi, psi = _static(rng, model), _static(rng, model)
-    k_axiom = Imp(Does(agent, Imp(phi, psi)), Imp(Does(agent, phi), Does(agent, psi)))
-    t_axiom = Imp(Does(agent, phi), phi)
-    four = Imp(Does(agent, phi), Does(agent, Does(agent, phi)))
-    five = Imp(Not(Does(agent, phi)), Does(agent, Not(Does(agent, phi))))
-    return And(And(k_axiom, t_axiom), And(four, five))
-
-
-def _incl_univ_pref(rng, model):
-    i, j = _pick_agents(rng, model)
-    phi = _static(rng, model)
-    return Imp(Univ(phi), PrefBox(i, j, phi))
-
-
-def _incl_univ_does(rng, model):
-    agent = rng.choice(sorted(model.agents))
-    phi = _static(rng, model)
-    return Imp(Univ(phi), Does(agent, phi))
 
 
 def _qualified_d(rng, model):
-    i, j = _pick_agents(rng, model)
+    i, j = _agents(rng, model, 2)
     phi, psi = _static(rng, model), _static(rng, model)
     return Imp(
         pref_dia(i, j, phi),
@@ -327,7 +288,7 @@ def _qualified_d(rng, model):
 
 
 def _normal_obl(rng, model):
-    i, j = _pick_agents(rng, model)
+    i, j = _agents(rng, model, 2)
     phi = _static(rng, model)
     psi, chi = _static(rng, model), _static(rng, model)
     return Iff(
@@ -336,43 +297,28 @@ def _normal_obl(rng, model):
     )
 
 
-AXIOMS: dict[str, _AxiomSchema] = {
-    "atomRed": _AxiomSchema(
-        "atomRed", True, False,
-        _reduction_schema(lambda rng, model, act: Atom(rng.choice(sorted(model.val)))),
-    ),
-    "negRed": _AxiomSchema(
-        "negRed", True, False,
-        _reduction_schema(lambda rng, model, act: Not(_static(rng, model, 2))),
-    ),
-    "andRed": _AxiomSchema(
-        "andRed", True, False,
-        _reduction_schema(lambda rng, model, act: And(_static(rng, model, 2), _static(rng, model, 2))),
-    ),
-    "univRed": _AxiomSchema(
-        "univRed", True, True,
-        _reduction_schema(lambda rng, model, act: Univ(_static(rng, model, 2))),
-    ),
-    "doRed": _AxiomSchema(
-        "doRed", True, True,
-        _reduction_schema(
-            lambda rng, model, act: Does(rng.choice(sorted(model.agents)), _static(rng, model, 2))
-        ),
-    ),
-    "prefRed": _AxiomSchema(
-        "prefRed", True, False,
-        _reduction_schema(
-            lambda rng, model, act: PrefBox(*_pick_agents(rng, model), _static(rng, model, 2))
-        ),
-    ),
-    "S4pref": _AxiomSchema("S4pref", False, False, _valid_schema(_s4_pref)),
-    "S5U": _AxiomSchema("S5U", False, False, _valid_schema(_s5_univ)),
-    "S5Do": _AxiomSchema("S5Do", False, False, _valid_schema(_s5_does)),
-    "inclUPref": _AxiomSchema("inclUPref", False, False, _valid_schema(_incl_univ_pref)),
-    "inclUDo": _AxiomSchema("inclUDo", False, False, _valid_schema(_incl_univ_does)),
-    "qualifiedD": _AxiomSchema("qualifiedD", False, False, _valid_schema(_qualified_d)),
-    "normalO": _AxiomSchema("normalO", False, False, _valid_schema(_normal_obl)),
+# axiom -> a random static scope; the audit pushes a random [act A a] through it
+REDUCTIONS: dict[str, Callable] = {
+    "atomRed": lambda rng, model: Atom(rng.choice(sorted(model.val))),
+    "negRed": lambda rng, model: Not(_static(rng, model, 2)),
+    "andRed": lambda rng, model: And(_static(rng, model, 2), _static(rng, model, 2)),
+    "univRed": _boxed(_UNIV),
+    "doRed": _boxed(_DOES),
+    "prefRed": _boxed(_PREF),
 }
+
+# axiom -> a random instance, which must hold at every state
+VALIDITIES: dict[str, Callable] = {
+    "S4pref": _box_laws(_PREF, s5=False),
+    "S5U": _box_laws(_UNIV, s5=True),
+    "S5Do": _box_laws(_DOES, s5=True),
+    "inclUPref": _inclusion(_PREF),
+    "inclUDo": _inclusion(_DOES),
+    "qualifiedD": _qualified_d,
+    "normalO": _normal_obl,
+}
+
+AXIOMS: dict[str, Callable] = {**REDUCTIONS, **VALIDITIES}
 
 
 def audit_axiom(name: str, cfg: GeneratorConfig = GeneratorConfig(),
@@ -381,24 +327,25 @@ def audit_axiom(name: str, cfg: GeneratorConfig = GeneratorConfig(),
 
     Returns the first verified counterexample, or None when the whole suite
     passes.  Axiom names: atomRed, negRed, andRed, univRed, prefRed, doRed,
-    S4pref, S5U, S5Do, inclUPref, inclUDo, qualifiedD, normalO.
+    S4pref, S5U, S5Do, inclUPref, inclUDo, qualifiedD, normalO.  The report
+    names its variant only for the axioms in ``PAPER_ERRATA``.
     """
-    schema = AXIOMS.get(name)
-    if schema is None:
+    if name not in AXIOMS:
         raise NameResolutionError(
             f"unknown axiom {name!r} (known: {', '.join(sorted(AXIOMS))})"
         )
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    rng = random.Random(cfg.seed)
-    for index in range(cfg.sample_count):
+
+    def draw(rng):
         model = random_model(cfg, rng)
-        act = random_action_model(cfg, model, rng) if schema.needs_action_model else None
-        lhs, rhs = schema.build(rng, model, act, variant)
-        env = ActionModelEnv([act]) if act is not None else None
-        report = _disagreement(model, lhs, rhs, env, axiom=name, action_model=act,
-                               variant=variant if schema.variant_sensitive else None,
-                               sample_index=index)
-        if report is not None:
-            return report
-    return None
+        if name in VALIDITIES:
+            return model, VALIDITIES[name](rng, model), TOP, ()
+        act = random_action_model(cfg, model, rng)
+        action = rng.choice(sorted(act.actions))
+        scope = REDUCTIONS[name](rng, model)
+        rhs = reduce_step(act, action, scope, variant)
+        return model, ActBox(act.name, action, scope), rhs, (act,)
+
+    return _search(cfg, draw, axiom=name,
+                   variant=variant if name in PAPER_ERRATA else None)

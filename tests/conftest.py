@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from hohfeld.formula import (
     BOT,
+    INFIX,
     TOP,
     ActBox,
     And,
@@ -21,6 +22,7 @@ from hohfeld.formula import (
     PrefBox,
     Univ,
 )
+from hohfeld.parser import KEYWORDS
 import hohfeld.scenarios as scenarios
 
 settings.register_profile("ci", max_examples=200, deadline=None)
@@ -81,6 +83,11 @@ static_formulas = st.recursive(
     _static_extend,
     max_leaves=20,
 )
+
+
+# the grammar's tokens, for fuzzing the parser with token sequences
+TOKENS = sorted(KEYWORDS) + [op for op, _, _ in INFIX.values()] + [
+    "(", ")", "[", "]", "<", ">", "!", "/", "p", "q", "i", "c", "John", "a1"]
 
 
 @pytest.fixture

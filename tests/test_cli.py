@@ -118,6 +118,18 @@ def test_check_malformed_edge_is_an_input_error(files, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_check_non_static_precondition_is_an_input_error(files, capsys):
+    bad = files["dir"] / "dynamic_pre.json"
+    data = json.loads((files["dir"] / "john_actions.json").read_text())
+    data["pre"]["a1"] = "[act John a1] p"
+    bad.write_text(json.dumps(data))
+    code = main(["check", "--model", files["park"], "--state", "w1",
+                 "--formula", "[act John a1] p", "--actions", str(bad)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "precondition not static" in err
+
+
 # -- eval -----------------------------------------------------------------------
 
 def test_eval_prints_sorted_truth_set(files, capsys):

@@ -63,6 +63,27 @@ def test_equality_and_hash_work_at_any_depth():
     assert a != chain(99_999) and a != Not(Not(chain(99_999)))
 
 
+@pytest.mark.parametrize("f, text", [
+    (CondObl("i", "c", Not(Atom("p")), TOP),
+     "CondObl(i='i', j='c', consequent=Not(arg=Atom(name='p')), condition=Top())"),
+    (ActBox("John", "a1", Or(Univ(BOT), Does("i", Atom("f")))),
+     "ActBox(model='John', action='a1', arg=Or(left=Univ(arg=Bot()), "
+     "right=Does(agent='i', arg=Atom(name='f'))))"),
+])
+def test_repr_is_the_dataclass_text(f, text):
+    assert repr(f) == text
+
+
+def test_repr_works_at_any_depth():
+    # every level names its own agent, so any two levels differ at their top
+    # node, and comparing them (as pytest does to report a RecursionError) is cheap
+    f = Atom("p")
+    for k in range(50_000):
+        f = Not(Does(f"i{k}", f))
+    opened = "".join(f"Not(arg=Does(agent='i{k}', arg=" for k in reversed(range(50_000)))
+    assert repr(f) == opened + "Atom(name='p')" + "))" * 50_000
+
+
 @pytest.mark.parametrize("derived, core", [
     (pref_dia("i", "c", Atom("p")), Not(PrefBox("i", "c", Not(Atom("p"))))),
     (exist(Atom("p")), Not(Univ(Not(Atom("p"))))),

@@ -4,8 +4,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from hohfeld.errors import ModelFormatError
+from hohfeld.actions import validate_action_model
+from hohfeld.errors import ModelFormatError, NameResolutionError
+from hohfeld.model import validate
 from hohfeld.modelio import (
     action_model_from_dict,
     action_model_to_dict,
@@ -18,6 +21,8 @@ from hohfeld.modelio import (
 )
 from hohfeld.parser import parse
 import hohfeld.scenarios as scenarios
+
+from conftest import TOKENS, formulas
 
 PARK_DICT = {
     "states": ["w1", "w2", "w3", "w4"],
@@ -107,6 +112,8 @@ def test_model_format_errors(mutate, message_part):
     (lambda d: d["pre"].update({"a1": "!d &"}), "pre a1"),
     (lambda d: d["pre"].update({"zz": "true"}), "unknown action"),
     (lambda d: d["post"].update({"zz": {}}), "unknown action"),
+    (lambda d: d["pre"].update({"a1": "[act A a1] p"}), "precondition not static"),
+    (lambda d: d["post"]["a2"].update({"f": "[act B b1] p"}), "postcondition not static"),
     (lambda d: d["rel"]["i->c"].update(edges=[["a1", ["a2"]]]), "edge endpoint"),
 ])
 def test_action_model_format_errors(mutate, message_part):
@@ -167,3 +174,66 @@ def test_formula_strings_in_dumps_reparse():
     data = action_model_to_dict(scenarios.contract_action_model())
     for text in data["pre"].values():
         parse(text)
+
+
+# -- fuzz: any JSON loads as a valid model or fails with an input error -------------
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=12,
+)
+FORMULA_TEXT = formulas.map(str) | st.lists(st.sampled_from(TOKENS), max_size=12).map(" ".join)
+
+
+def _paths(value, path=()):
+    """The key path of every entry below a JSON value."""
+    kids = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, kid in kids:
+        yield path + (key,)
+        yield from _paths(kid, path + (key,))
+
+
+@st.composite
+def _mutants(draw, base):
+    """``base`` with one entry replaced or deleted, or, in an action model,
+    one pre- or postcondition set to formula text."""
+    doc = json.loads(json.dumps(base))
+    if "pre" in doc and draw(st.booleans()):
+        action = draw(st.sampled_from(doc["actions"]))
+        if draw(st.booleans()):
+            doc["pre"][action] = draw(FORMULA_TEXT)
+        else:
+            doc["post"].setdefault(action, {})[draw(st.sampled_from(["f", "p"]))] = draw(FORMULA_TEXT)
+        return doc
+    *head, key = draw(st.sampled_from(list(_paths(doc))))
+    where = doc
+    for step in head:
+        where = where[step]
+    if draw(st.booleans()):
+        del where[key]
+    else:
+        where[key] = draw(JSON)
+    return doc
+
+
+def _loads_valid_or_fails_cleanly(load, check, data):
+    try:
+        loaded = load(data)
+    except (ModelFormatError, NameResolutionError):
+        return
+    report = check(loaded)
+    assert report.ok, str(report)
+
+
+@given(JSON | _mutants(PARK_DICT))
+def test_model_loader_on_any_json(data):
+    _loads_valid_or_fails_cleanly(model_from_dict, validate, data)
+
+
+@given(JSON | _mutants(JOHN_DICT))
+# random draws hit a dynamic pre- or postcondition in only a few percent of examples
+@example({**JOHN_DICT, "pre": {"a1": "[act A a1] p", "a2": "d | !p"}})
+@example({**JOHN_DICT, "post": {"a1": {"f": "true"}, "a2": {"p": "[act B b1] p"}}})
+def test_action_model_loader_on_any_json(data):
+    _loads_valid_or_fails_cleanly(action_model_from_dict, validate_action_model, data)

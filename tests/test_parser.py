@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from hohfeld.errors import FormulaSyntaxError
 from hohfeld.formula import (
     BOT,
-    INFIX,
     TOP,
     ActBox,
     And,
@@ -26,9 +25,9 @@ from hohfeld.formula import (
     perm,
     pref_dia,
 )
-from hohfeld.parser import KEYWORDS, parse
+from hohfeld.parser import parse
 
-from conftest import formulas
+from conftest import TOKENS, formulas
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -155,10 +154,6 @@ def _parses_or_fails_cleanly(text):
 @given(st.text())
 def test_parse_any_text(text):
     _parses_or_fails_cleanly(text)
-
-
-TOKENS = sorted(KEYWORDS) + [op for op, _, _ in INFIX.values()] + [
-    "(", ")", "[", "]", "<", ">", "!", "/", "p", "q", "i", "c", "John", "a1"]
 
 
 @given(st.lists(st.sampled_from(TOKENS), max_size=40).map(" ".join))
