@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import NameResolutionError
+from .errors import ModelFormatError, NameResolutionError
 from .formula import Formula, is_static
 from .model import Relation, ValidationReport, Violation, _check_preorder
 
@@ -85,6 +85,14 @@ def validate_action_model(act: DeonticActionModel) -> ValidationReport:
     for (i, j), rel in sorted(act.rel.items()):
         _check_preorder(f"rel {i}->{j}", rel, act.actions, report)
     return report
+
+
+def require_valid(act: DeonticActionModel) -> DeonticActionModel:
+    """``act`` itself, or ``ModelFormatError`` naming every violation."""
+    report = validate_action_model(act)
+    if not report.ok:
+        raise ModelFormatError(f"action model {act.name!r}: " + "; ".join(map(str, report.violations)))
+    return act
 
 
 class ActionModelEnv:

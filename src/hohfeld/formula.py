@@ -44,18 +44,33 @@ class Formula:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):
             return NotImplemented
+        compared: set[tuple[int, int]] = set()  # self and other keep these ids' nodes alive
         todo = [(self, other)]
         while todo:
             a, b = todo.pop()
-            if a is not b:
+            pair = (id(a), id(b))
+            if a is not b and pair not in compared:
+                compared.add(pair)
                 if type(a) is not type(b) or _SHAPE[type(a)][1](a) != _SHAPE[type(b)][1](b):
                     return False
                 todo += zip(children(a), children(b))
         return True
 
     def __hash__(self) -> int:
-        # the preorder of (class, names) pairs determines the tree
-        return hash(tuple((type(g), _SHAPE[type(g)][1](g)) for g in subformulas(self)))
+        # bottom-up over (class, names, operand hashes), once per node object
+        hashes: dict[int, int] = {}
+        todo: list = [self]
+        while todo:
+            g = todo.pop()
+            if type(g) is tuple:  # a node whose operands are hashed
+                g, shape, kids = g
+                hashes[id(g)] = hash((type(g), shape[1](g), *[hashes[id(kid)] for kid in kids]))
+            elif id(g) not in hashes:
+                shape = _SHAPE[type(g)]
+                kids = shape[0](g)
+                todo.append((g, shape, kids))
+                todo += kids
+        return hashes[id(self)]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -247,25 +262,52 @@ def rewrite(f: Formula, step: Callable[[Formula], Formula],
     whose children all come back as the same objects is kept, so untouched
     subformulas are shared with the input.  The walk keeps its own stack,
     so no depth overflows it.
+
+    The work is hash-consed for the length of the call.  Nodes reached with
+    the same class, names and operand objects are rewritten once, and nodes
+    built over the same class, names and new operand objects are one object;
+    so a DAG input costs its distinct nodes, not its tree size, and the
+    output is a DAG.  The tables keep their nodes alive, so no id they key
+    on is reused before the call returns.
     """
+    reached: dict[tuple, tuple[Formula, Formula]] = {}  # key -> (first node, its rewrite)
+    built: dict[tuple, Formula] = {}
     done: list[Formula] = []
-    todo = [(f, None)]
+    todo: list = [f]
     while todo:
-        g, kids = todo.pop()
-        if kids is None:
-            if expand is not None:
-                g = expand(g)
-            kids = children(g)
-            if kids:
-                todo.append((g, kids))
-                todo.extend([(kid, None) for kid in reversed(kids)])
-                continue
-        else:
+        g = todo.pop()
+        if type(g) is tuple:  # a node whose operands are rewritten
+            key, g, h, kids = g
             new = done[-len(kids):]
             del done[-len(kids):]
             if any(map(is_not, new, kids)):
-                g = rebuild(g, new)
-        done.append(step(g))
+                cls = type(h)
+                names = _SHAPE[cls][1](h)
+                made = (cls, names, *map(id, new))
+                h = built.get(made)
+                if h is None:
+                    h = built[made] = cls(*names, *new)
+        else:
+            shape = _SHAPE[type(g)]
+            kids = shape[0](g)
+            key = (type(g), shape[1](g), *map(id, kids))
+            hit = reached.get(key)
+            if hit is not None:
+                # an equal node: its rewrite, or itself where that is the rewrite
+                done.append(g if hit[1] is hit[0] else hit[1])
+                continue
+            h = g
+            if expand is not None:
+                h = expand(g)
+                if h is not g:
+                    kids = children(h)
+            if kids:
+                todo.append((key, g, h, kids))
+                todo += reversed(kids)
+                continue
+        out = step(h)
+        reached[key] = (g, out)
+        done.append(out)
     return done[0]
 
 
@@ -319,7 +361,10 @@ def unfold_cond_obl(f: Formula) -> Formula:
     """Eliminate every obligation node, innermost first.
 
     The output contains no CondObl node and is evaluation-equivalent to the
-    input.  Size grows by at most a factor of 7 per eliminated node.
+    input.  It shares its subterms: each new distinct subterm is built once,
+    and the unfolding refers to the condition three times, so the node
+    objects grow additively per eliminated node, while the tree size, and
+    the ``str()`` text, grow by up to a factor of 7.
     """
     return rewrite(f, lambda g: unfold_head(g) if isinstance(g, CondObl) else g)
 
@@ -353,13 +398,23 @@ _TEXT = {         # a leaf's text, or what comes before the one operand
 
 def _render(f: Formula) -> str:
     """Concrete syntax, left to right, off a stack of what is still to be
-    written: literal text, or an operand with the precedence it prints at."""
+    written: literal text, an operand with the precedence it prints at, or
+    the mark where the text of a node met again later ends.  Such a node is
+    written once and its text copied at each later visit; every other node
+    streams, so a deep tree prints in memory linear in its size."""
+    again = _met_again(f)
+    texts: dict[int, str] = {}
     out: list[str] = []
     todo: list = [(f, 0)]
     while todo:
         piece = todo.pop()
         if type(piece) is str:
             out.append(piece)
+            continue
+        if type(piece) is list:  # [node, where its text starts in out]
+            g, start = piece
+            text = texts[id(g)] = "".join(out[start:])
+            out[start:] = [text]
             continue
         g, prec = piece
         kind = type(g)
@@ -368,6 +423,13 @@ def _render(f: Formula) -> str:
             if prec > power:
                 out.append("(")
                 todo.append(")")
+        if id(g) in again:
+            text = texts.get(id(g))
+            if text is not None:
+                out.append(text)
+                continue
+            todo.append([g, len(out)])
+        if kind in INFIX:
             # the operand on the grouping side may hold the same connective bare
             todo += [(g.right, power + (not right)), f" {op} ", (g.left, power + right)]
         elif kind is CondObl:
@@ -378,3 +440,20 @@ def _render(f: Formula) -> str:
             if kind not in (Atom, Top, Bot):
                 todo.append((g.arg, PREFIX_POWER))
     return "".join(out)
+
+
+def _met_again(f: Formula) -> set[int]:
+    """Ids of the nodes below ``f`` that more than one operand refers to."""
+    seen: set[int] = set()
+    again: set[int] = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        for kid in _SHAPE[type(g)][0](g):
+            key = id(kid)
+            if key in seen:
+                again.add(key)
+            else:
+                seen.add(key)
+                todo.append(kid)
+    return again

@@ -29,7 +29,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .actions import DeonticActionModel, validate_action_model
+from .actions import DeonticActionModel, require_valid
 from .errors import FormulaSyntaxError, ModelFormatError
 from .formula import Formula
 from .model import (
@@ -176,13 +176,9 @@ def action_model_from_dict(data: Any) -> DeonticActionModel:
             for atom, text in assign.items()
         }
 
-    act = DeonticActionModel(
+    return require_valid(DeonticActionModel(
         name=name, owner=owner, actions=actions, rel=rel, pre=pre, post=post
-    )
-    report = validate_action_model(act)
-    if not report.ok:
-        raise ModelFormatError(f"action model {name!r}: " + "; ".join(map(str, report.violations)))
-    return act
+    ))
 
 
 def action_model_to_dict(act: DeonticActionModel) -> dict:

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .actions import ActionModelEnv, DeonticActionModel
+from .actions import ActionModelEnv, DeonticActionModel, require_valid
 from .errors import NameResolutionError
 from .formula import (
     TOP,
@@ -115,16 +115,29 @@ def translate(f: Formula, env: ActionModelEnv, variant: str = SOUND_FORM) -> For
 
     With the sound variant the output is evaluation-equivalent to the input
     on every model; the paper variant reproduces the printed rule table,
-    mismatches included.
+    mismatches included.  Each action model pushed through is first checked
+    with ``validate_action_model``, once per call: a dynamic pre- or
+    postcondition would have the rewrite meet its own box again.
 
     Boxes go innermost first.  A box over a translated scope is stepped on
     the way down: each residual box over a child of the scope is stepped in
     turn, so the scope is not walked again.  Pre- and postconditions are
     static, so those residual boxes are the only boxes met there.
+
+    The output shares its subterms: ``rewrite`` builds each new distinct
+    subterm once and pushes each box through each distinct subterm once.
+    The rules copy a scope under every action, so the tree grows
+    exponentially with nested boxes, but the node objects grow only with
+    the distinct subterms; ``str()`` still writes out the whole tree.
     """
+    checked: dict[str, DeonticActionModel] = {}
+
     def push(g: Formula) -> Formula:
         if isinstance(g, ActBox):
-            return reduce_step(env.get(g.model), g.action, g.arg, variant)
+            act = checked.get(g.model)
+            if act is None:
+                act = checked[g.model] = require_valid(env.get(g.model))
+            return reduce_step(act, g.action, g.arg, variant)
         return g
 
     def step(g: Formula) -> Formula:

@@ -102,7 +102,7 @@ def _operands(here: tuple, f: Formula, env: ActionModelEnv | None, products: dic
     act = env.get(f.model)
     if f.action not in act.actions:
         raise NameResolutionError(f"action {f.action!r} not in action model {act.name!r}")
-    if not truth_set(here[0], act.pre[f.action], env):
+    if not truth_set(here[0], act.pre[f.action]):  # static, as in ``product``
         return (), None
     after = env.product_of(here[0], f.model, product).model
     return (f.arg,), products.setdefault(id(after), (after, {}, {}))

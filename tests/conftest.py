@@ -6,6 +6,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from hohfeld.actions import DeonticActionModel, make_action_model
 from hohfeld.formula import (
     BOT,
     INFIX,
@@ -15,6 +16,7 @@ from hohfeld.formula import (
     Atom,
     CondObl,
     Does,
+    Formula,
     Iff,
     Imp,
     Not,
@@ -88,6 +90,16 @@ static_formulas = st.recursive(
 # the grammar's tokens, for fuzzing the parser with token sequences
 TOKENS = sorted(KEYWORDS) + [op for op, _, _ in INFIX.values()] + [
     "(", ")", "[", "]", "<", ">", "!", "/", "p", "q", "i", "c", "John", "a1"]
+
+
+def dynamic_action_model(where: str, g: Formula) -> DeonticActionModel:
+    """Action model A whose one action a1 has ``g`` as its precondition, or
+    as its postcondition of p; ``make_action_model`` does not validate."""
+    return make_action_model(
+        name="A", owner="x", actions=["a1"], rel={},
+        pre={"a1": g if where == "pre" else TOP},
+        post={"a1": {"p": g}} if where == "post" else {},
+    )
 
 
 @pytest.fixture

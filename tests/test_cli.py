@@ -5,10 +5,14 @@ import json
 
 import pytest
 
+import hohfeld.cli as cli
 from hohfeld.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
 from hohfeld.modelio import dumps_model, load_model_file
+from hohfeld.parser import parse
 import hohfeld.scenarios as scenarios
 from hohfeld.scenarios import export_fixture_files
+
+from conftest import dynamic_action_model
 
 
 @pytest.fixture
@@ -128,6 +132,16 @@ def test_check_non_static_precondition_is_an_input_error(files, capsys):
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error:") and "precondition not static" in err
+
+
+def test_check_with_a_dynamic_precondition_built_in_code_is_an_input_error(files, capsys, monkeypatch):
+    # the JSON loader rejects this action model, so hand the command one built in code
+    act = dynamic_action_model("pre", parse("[act A a1] p"))
+    monkeypatch.setattr(cli, "load_action_model_file", lambda path: act)
+    code = main(["check", "--model", files["park"], "--state", "w1",
+                 "--formula", "[act A a1] p", "--actions", "ignored.json"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # -- eval -----------------------------------------------------------------------

@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from hohfeld.actions import ActionModelEnv, make_action_model
-from hohfeld.errors import NameResolutionError
+from hohfeld.errors import HohfeldError, ModelFormatError, NameResolutionError
 from hohfeld.formula import (
     BOT,
     TOP,
@@ -37,7 +37,7 @@ from hohfeld.reduction import (
 from hohfeld.semantics import evaluate
 import hohfeld.scenarios as scenarios
 
-from conftest import formulas
+from conftest import dynamic_action_model, formulas
 
 
 def _env(*acts):
@@ -167,6 +167,19 @@ def test_translate_preserves_truth_on_the_parking_model(park, john, mary):
 def test_translate_unknown_action_model_raises(john):
     with pytest.raises(NameResolutionError):
         translate(parse("[act Nope a1] p"), _env(john))
+
+
+@pytest.mark.parametrize("where", ["pre", "post"])
+@settings(max_examples=30)
+@given(g=formulas.filter(lambda g: not is_static(g)))
+@example(g=parse("[act A a1] p"))
+def test_dynamic_pre_or_postcondition_fails_through_hohfeld_errors(where, g):
+    env = _env(dynamic_action_model(where, g))
+    f = parse("[act A a1] p")
+    with pytest.raises(HohfeldError):
+        evaluate(scenarios.parking_model(), "w1", f, env)
+    with pytest.raises(ModelFormatError, match=f"{where}condition not static"):
+        translate(f, env)
 
 
 @settings(max_examples=60)

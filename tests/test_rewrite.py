@@ -4,9 +4,14 @@
 recursions: the rewrite-based ``unfold_cond_obl`` and ``translate`` must give
 equal formulas, printed the same way.  The depth tests run chains far past
 the recursion limit, which the recursive definitions cannot walk, through
-the rewrites, the labeller and the printer.
+the rewrites, the labeller and the printer.  The sharing tests pin how many
+node objects the translations of ``[act John a1]^k U f`` hold against their
+distinct subterms, and that they print as the tree they stand for.
 """
 from __future__ import annotations
+
+import hashlib
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -198,3 +203,82 @@ def test_evaluation_and_printing_walk_a_deep_chain():
     assert truth_set(park, f) == {"w1", "w2"}
     assert evaluate(park, "w3", f) is False
     assert str(f) == "!" * depth + "p"
+
+
+# -- sharing ---------------------------------------------------------------------
+
+def _family(k: int) -> Formula:
+    return parse("[act John a1] " * k + "U f")
+
+
+def _dag_counts(f: Formula) -> tuple[int, int, int]:
+    """(tree nodes, node objects, distinct subterms), one visit per object."""
+    seen: dict[int, tuple[int, int]] = {}  # node id -> (value number, tree size)
+    values: dict[tuple, int] = {}
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        waiting = [kid for kid in children(g) if id(kid) not in seen]
+        if waiting:
+            todo += waiting
+            continue
+        todo.pop()
+        if id(g) in seen:
+            continue
+        kids = [seen[id(kid)] for kid in children(g)]
+        names = tuple(getattr(g, x.name) for x in fields(g)
+                      if not isinstance(getattr(g, x.name), Formula))
+        key = (type(g), names, *(number for number, _ in kids))
+        seen[id(g)] = (values.setdefault(key, len(values)), 1 + sum(t for _, t in kids))
+    return seen[id(f)][1], len(seen), len(values)
+
+
+# k -> (tree nodes, distinct subterms, len and sha256 of str()) of the translation
+FAMILY = {
+    4: (15_592, 559, 35_225, "a4cb9a11000adc048c87b540fc93a8f806e2f0acb73d4d777b4bf647d95b2df2"),
+    5: (166_629, 2_143, 375_785, "9940bca3bfb840c0505e723a2e02ff8393eded9c644ea9b95d92833ce51e4a81"),
+    6: (1_809_078, 8_383, 4_078_705, "f0418d71d6dbd0a623ba10acdfbb8fb8790398c53daea4b76174e09060bc29bc"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(FAMILY))
+def test_translation_builds_each_distinct_subterm_about_once(k):
+    tree, distinct, chars, digest = FAMILY[k]
+    out = translate(_family(k), ActionModelEnv([scenarios.john_action_model()]))
+    got_tree, objects, got_distinct = _dag_counts(out)
+    assert (got_tree, got_distinct) == (tree, distinct)
+    assert objects <= 1.25 * distinct
+    text = str(out)
+    assert len(text) == chars
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_separate_translations_compare_and_hash_equal():
+    first, second = (translate(_family(6), ActionModelEnv([scenarios.john_action_model()]))
+                     for _ in range(2))
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first != translate(_family(6), ActionModelEnv([scenarios.john_action_model()]), "paper")
+
+
+def test_rewrite_rewrites_equal_nodes_once():
+    calls = []
+
+    def step(g):
+        calls.append(g)
+        return Not(g) if isinstance(g, Atom) else g
+
+    p = Atom("p")
+    out = rewrite(And(Or(p, p), Or(p, p)), step)
+    assert out == And(Or(Not(p), Not(p)), Or(Not(p), Not(p)))
+    # p, the first Or and the And; the second Or reaches the same operands
+    assert len(calls) == 3
+    assert out.left is out.right and out.left.left is out.left.right
+
+
+def test_a_shared_subterm_prints_in_each_place_as_the_tree_does():
+    x = And(P, Atom("q"))
+    f = Or(Not(x), Imp(x, x))
+    assert str(f) == "!(p & q) | (p & q -> p & q)"
+    assert parse(str(f)) == f
