@@ -312,7 +312,8 @@ def rewrite(f: Formula, step: Callable[[Formula], Formula],
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """Yield ``f`` and every node below it, preorder."""
+    """Yield ``f`` and every node below it, preorder, shared nodes once per
+    occurrence."""
     todo = [f]
     while todo:
         g = todo.pop()
@@ -320,22 +321,48 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         todo.extend(reversed(children(g)))
 
 
+def _nodes(f: Formula) -> Iterator[Formula]:
+    """Yield each node object below ``f`` once, however often it occurs."""
+    seen = {id(f)}
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        for kid in _SHAPE[type(g)][0](g):
+            if id(kid) not in seen:
+                seen.add(id(kid))
+                todo.append(kid)
+
+
 def size(f: Formula) -> int:
-    return sum(1 for _ in subformulas(f))
+    """The number of nodes in the tree ``f`` spells out, counted bottom-up
+    once per node object."""
+    sizes: dict[int, int] = {}
+    todo: list = [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is tuple:  # a node whose operands are counted
+            g, kids = g
+            sizes[id(g)] = 1 + sum([sizes[id(kid)] for kid in kids])
+        elif id(g) not in sizes:
+            kids = _SHAPE[type(g)][0](g)
+            todo.append((g, kids))
+            todo += kids
+    return sizes[id(f)]
 
 
 def is_static(f: Formula) -> bool:
     """True when no dynamic box occurs anywhere in the formula."""
-    return not any(isinstance(g, ActBox) for g in subformulas(f))
+    return not any(type(g) is ActBox for g in _nodes(f))
 
 
 def atom_names(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
+    return frozenset(g.name for g in _nodes(f) if type(g) is Atom)
 
 
 def agent_names(f: Formula) -> frozenset[str]:
     names: set[str] = set()
-    for g in subformulas(f):
+    for g in _nodes(f):
         if isinstance(g, (PrefBox, CondObl)):
             names.add(g.i)
             names.add(g.j)

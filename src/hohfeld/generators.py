@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .actions import DeonticActionModel
 from .formula import (
@@ -39,6 +40,25 @@ ATOM_POOL = ("p", "q", "r", "s", "t", "u1")
 DEFAULT_SEED = 42
 
 
+def _cumulative(names: tuple[str, ...], weights: tuple[int, ...]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """A draw table: the names and their running weight totals, in the order
+    ``rng.choices`` reads them; reordering an entry changes every seeded draw."""
+    return names, tuple(accumulate(weights))
+
+
+def _draw(rng: random.Random, table: tuple) -> str:
+    """One weighted draw; ``choices`` given the running totals draws what it
+    draws given the weights, without summing them at each call."""
+    return rng.choices(table[0], cum_weights=table[1])[0]
+
+
+_PREORDER_MODES = _cumulative(("absent", "identity", "total", "chain", "random"), (15, 15, 15, 15, 40))
+_PARTITION_MODES = _cumulative(("singletons", "total", "random"), (25, 25, 50))
+_VALUATION_MODES = _cumulative(("empty", "full", "random"), (20, 20, 60))
+_PRE_MODES = _cumulative(("top", "exclusive", "random"), (25, 30, 45))
+_POST_MODES = _cumulative(("top", "bot", "formula"), (30, 30, 40))
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int = DEFAULT_SEED
@@ -52,8 +72,7 @@ class GeneratorConfig:
 
 def _random_preorder(rng: random.Random, members: list[str]) -> frozenset | None:
     """A preorder over members, or None meaning "leave undeclared"."""
-    mode = rng.choices(("absent", "identity", "total", "chain", "random"),
-                       weights=(15, 15, 15, 15, 40))[0]
+    mode = _draw(rng, _PREORDER_MODES)
     if mode == "absent":
         return None
     if mode == "identity":
@@ -74,7 +93,7 @@ def _random_preorder(rng: random.Random, members: list[str]) -> frozenset | None
 
 
 def _random_partition(rng: random.Random, members: list[str]) -> frozenset:
-    mode = rng.choices(("singletons", "total", "random"), weights=(25, 25, 50))[0]
+    mode = _draw(rng, _PARTITION_MODES)
     if mode == "singletons":
         return blocks_to_relation([[w] for w in members])
     if mode == "total":
@@ -114,7 +133,7 @@ def random_model(cfg: GeneratorConfig, rng: random.Random | None = None,
 
     val = {}
     for atom in atoms:
-        mode = rng.choices(("empty", "full", "random"), weights=(20, 20, 60))[0]
+        mode = _draw(rng, _VALUATION_MODES)
         if mode == "empty":
             val[atom] = frozenset()
         elif mode == "full":
@@ -166,7 +185,7 @@ def random_action_model(cfg: GeneratorConfig, model: PrefActionModel,
             if relation is not None:
                 rel[(i, j)] = relation
 
-    pre_mode = rng.choices(("top", "exclusive", "random"), weights=(25, 30, 45))[0]
+    pre_mode = _draw(rng, _PRE_MODES)
     if pre_mode == "top":
         pre = {a: TOP for a in actions}
     elif pre_mode == "exclusive" and atoms:
@@ -181,7 +200,7 @@ def random_action_model(cfg: GeneratorConfig, model: PrefActionModel,
     for a in actions:
         overrides = {}
         for atom in rng.sample(atoms, rng.randint(0, min(2, len(atoms)))):
-            kind = rng.choices(("top", "bot", "formula"), weights=(30, 30, 40))[0]
+            kind = _draw(rng, _POST_MODES)
             if kind == "top":
                 overrides[atom] = TOP
             elif kind == "bot":
@@ -202,12 +221,12 @@ def random_action_model(cfg: GeneratorConfig, model: PrefActionModel,
     )
 
 
-# Node kinds and their weights per generator mode, in the order
-# ``rng.choices`` reads them: reordering an entry changes every seeded formula.
-_STATIC_KINDS = (("not", "and", "or", "imp", "iff", "pref", "univ", "does", "obl"),
-                 (15, 13, 13, 10, 6, 14, 9, 10, 10))
-_DYNAMIC_KINDS = (("box", "dia", "not", "and", "or", "imp", "pref", "univ", "does", "obl"),
-                  (18, 10, 12, 11, 11, 8, 10, 7, 7, 6))
+# Node kinds and their weights per generator mode.
+_STATIC_KINDS = _cumulative(("not", "and", "or", "imp", "iff", "pref", "univ", "does", "obl"),
+                            (15, 13, 13, 10, 6, 14, 9, 10, 10))
+_DYNAMIC_KINDS = _cumulative(("box", "dia", "not", "and", "or", "imp", "pref", "univ", "does", "obl"),
+                             (18, 10, 12, 11, 11, 8, 10, 7, 7, 6))
+_LEAVES = _cumulative(("atom", "top", "bot"), (70, 15, 15))
 _BINARY = {"and": And, "or": Or, "imp": Imp, "iff": Iff}
 
 
@@ -233,11 +252,11 @@ def _random_formula(rng: random.Random, atoms: tuple[str, ...], agents: tuple[st
                     depth: int, kinds: tuple[tuple[str, ...], tuple[int, ...]],
                     act: DeonticActionModel | None) -> Formula:
     if depth <= 0 or rng.random() < 0.2:
-        leaf = rng.choices(("atom", "top", "bot"), weights=(70, 15, 15))[0]
+        leaf = _draw(rng, _LEAVES)
         if leaf == "atom" and atoms:
             return Atom(rng.choice(atoms))
         return TOP if leaf != "bot" else BOT
-    node = rng.choices(*kinds)[0]
+    node = _draw(rng, kinds)
     sub = lambda: _random_formula(rng, atoms, agents, depth - 1, kinds, act)
     if node in ("box", "dia"):
         wrap = ActBox if node == "box" else act_dia

@@ -5,11 +5,17 @@ Relations are stored extensionally as frozensets of ordered state pairs.
 A pair of agents absent from ``pref`` denotes the identity relation; an
 agent absent from ``eq`` has no indistinguishability relation at all and
 may not be used in a ``do`` formula.
+
+Evaluation reads a model through its compiled form: each state a bit
+position, each atom's states and each state's successors Python ints.  It
+is built once per model object, on first use, so a model's mappings must
+not be mutated after construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import NameResolutionError
 
@@ -77,40 +83,18 @@ class PrefActionModel:
         rel = self.pref.get((i, j))
         return frozenset((w, w) for w in self.states) if rel is None else rel
 
-    def pref_map(self, i: str, j: str) -> dict[str, set[str]]:
-        """Each state's states at least as ideal, for the pair ``i`` toward ``j``."""
-        if i not in self.agents or j not in self.agents:
-            missing = i if i not in self.agents else j
-            raise NameResolutionError(f"agent {missing!r} not in model")
-        return _successors(self.ideality(i, j), self.states)
+    @cached_property
+    def compiled(self) -> CompiledModel:
+        """The model as bit masks, built on first use and kept with the model.
 
-    def eq_map(self, agent: str) -> dict[str, set[str]]:
-        """Each state's states the agent cannot distinguish from it by its own conduct."""
-        if agent not in self.agents:
-            raise NameResolutionError(f"agent {agent!r} not in model")
-        rel = self.eq.get(agent)
-        if rel is None:
-            raise NameResolutionError(
-                f"agent {agent!r} has no action-indistinguishability relation"
-            )
-        return _successors(rel, self.states)
-
-    def pref_successors(self, i: str, j: str, w: str) -> list[str]:
-        """States at least as ideal as ``w`` for the pair ``i`` toward ``j``."""
-        return sorted(self.pref_map(i, j).get(w, ()))
-
-    def eq_class(self, agent: str, w: str) -> list[str]:
-        """States the agent cannot distinguish from ``w`` by its own conduct."""
-        return sorted(self.eq_map(agent).get(w, ()))
-
-
-def _successors(rel: Relation, states: frozenset[str]) -> dict[str, set[str]]:
-    """The relation as a map from each state to its successors, in one pass."""
-    succ: dict[str, set[str]] = {w: set() for w in states}
-    for a, b in rel:
-        if a in succ and b in succ:
-            succ[a].add(b)
-    return succ
+        States take bits in sorted order; each relation stays the model's own
+        ``frozenset`` until its masks are first asked for.
+        """
+        names = sorted(self.states)
+        index = {w: p for p, w in enumerate(names)}
+        val = {atom: sum(1 << index[w] for w in ws if w in index) for atom, ws in self.val.items()}
+        source = partial(_relation_rows, self.pref, self.eq, index)
+        return CompiledModel(names, self.agents, self.eq, val, source)
 
 
 def make_model(
@@ -128,6 +112,117 @@ def make_model(
         eq={agent: frozenset(rel) for agent, rel in eq.items()},
         val={atom: frozenset(ws) for atom, ws in val.items()},
     )
+
+
+class CompiledModel:
+    """A model's states as bit positions, its valuation and relations as masks.
+
+    ``names[p]`` is the state at bit ``p``, or None where no state is (a
+    product leaves such gaps); ``bits[p]`` is ``1 << p`` at a state and 0 at
+    a gap.  A relation is a list of successor masks by position, built by
+    ``source(key)`` when first asked for; ``key`` is ``(i, j)`` for
+    ideality and the agent for indistinguishability.  Nothing here refers
+    back to the model, so reference counting alone frees both.
+    """
+
+    __slots__ = ("names", "bits", "full", "index", "agents", "eq_agents", "val",
+                 "shift", "pre", "_source", "_rows", "__weakref__")
+
+    def __init__(self, names: list[str | None], agents: frozenset[str],
+                 eq_agents: Iterable[str], val: dict[str, int],
+                 source: Callable[[object], list[int]], shift: dict[str, int] | None = None):
+        self.names = names
+        self.bits = [0 if w is None else 1 << p for p, w in enumerate(names)]
+        self.full = sum(self.bits)
+        self.index = {w: p for p, w in enumerate(names) if w is not None}
+        self.agents = agents
+        self.eq_agents = frozenset(eq_agents)
+        self.val = val
+        self.shift = shift or {}  # a product's first bit of each action's pairs
+        self.pre: dict[int, tuple] = {}  # id(action model) -> (it, precondition masks)
+        self._source = source
+        self._rows: dict[object, list[int]] = {}
+
+    def pref(self, i: str, j: str) -> list[int]:
+        """Successor masks of the ideality preorder of ``i`` toward ``j``."""
+        for agent in (i, j):
+            if agent not in self.agents:
+                raise NameResolutionError(f"agent {agent!r} not in model")
+        return self.rows((i, j))
+
+    def eq(self, agent: str) -> list[int]:
+        """Successor masks of the agent's indistinguishability relation."""
+        if agent not in self.agents:
+            raise NameResolutionError(f"agent {agent!r} not in model")
+        if agent not in self.eq_agents:
+            raise NameResolutionError(
+                f"agent {agent!r} has no action-indistinguishability relation"
+            )
+        return self.rows(agent)
+
+    def rows(self, key: object) -> list[int]:
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = self._source(key)
+        return rows
+
+    def states_of(self, mask: int) -> frozenset[str]:
+        names = self.names
+        return frozenset(names[p] for p in _positions(mask))
+
+    def relation(self, key: object) -> Relation:
+        """The relation ``key`` as state pairs."""
+        names, rows = self.names, self.rows(key)
+        return frozenset((w, names[q]) for w, p in self.index.items()
+                         for q in _positions(rows[p]))
+
+
+def _positions(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _relation_rows(pref: Mapping, eq: Mapping, index: dict[str, int], key: object) -> list[int]:
+    rel = pref.get(key) if type(key) is tuple else eq[key]
+    if rel is None:  # an undeclared pair: the identity
+        return [1 << p for p in range(len(index))]
+    rows = [0] * len(index)
+    for a, b in rel:
+        if a in index and b in index:
+            rows[index[a]] |= 1 << index[b]
+    return rows
+
+
+class CompiledRelations(Mapping):
+    """Relations read off a compiled form: each ``frozenset`` is built when
+    first read and kept."""
+
+    __slots__ = ("_compiled", "_keys", "_built")
+
+    def __init__(self, compiled: CompiledModel, keys: Iterable):
+        self._compiled = compiled
+        self._keys = dict.fromkeys(keys)
+        self._built: dict = {}
+
+    def __getitem__(self, key) -> Relation:
+        rel = self._built.get(key)
+        if rel is None:
+            if key not in self._keys:
+                raise KeyError(key)
+            rel = self._built[key] = self._compiled.relation(key)
+        return rel
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,16 @@ def _load_relation(entry: Any, members: frozenset[str], what: str) -> Relation:
             if endpoint not in members:
                 raise ModelFormatError(f"{what} edge mentions unknown id {endpoint!r}")
         edges.append((a, b))
-    closed = closure(edges, members)
-    if entry.get("closed", False) and closed != frozenset(edges):
-        missing = list(min(closed - frozenset(edges)))
+    if entry.get("closed", False):
+        # a preorder iff reflexive and each edge's target sees no more than its source
+        succ: dict[str, set[str]] = {m: set() for m in members}
+        for a, b in edges:
+            succ[a].add(b)
+        if all(m in succ[m] for m in members) and all(succ[b] <= succ[a] for a, b in edges):
+            return frozenset(edges)
+        missing = list(min(closure(edges, members) - frozenset(edges)))
         raise ModelFormatError(f"{what} is marked closed but lacks {missing} of its closure")
-    return closed
+    return closure(edges, members)
 
 
 def model_from_dict(data: Any) -> PrefActionModel:

@@ -22,7 +22,6 @@ into their negation-based definitions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import FormulaSyntaxError
@@ -54,41 +53,33 @@ _PREFIX = {"!": Not, "U": Univ, "E": exist}
 _BOXES = {"[": ("]", PrefBox, ActBox), "<": (">", pref_dia, act_dia)}
 _OBLIGATIONS = {"O": CondObl, "P": perm}
 
+# one alternative per token kind; a character no other takes is "bad"
 _TOKEN_RE = re.compile(
-    r"\s+|(?P<op><->|->|[()\[\]<>!&|/])|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"(?P<op><->|->|[()\[\]<>!&|/])|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<space>\s+)|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str          # "op", "ident", or "end"
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, column) per token, "op", "ident" or "end"."""
+    tokens = []
     line = 1
     line_start = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "space":
+            lexeme = match.group()
+            newlines = lexeme.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + lexeme.rindex("\n") + 1
+        elif kind == "bad":
             raise FormulaSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
+                f"unexpected character {match.group()!r}", line, match.start() - line_start + 1
             )
-        lexeme = match.group(0)
-        if match.lastgroup is not None:
-            kind = "op" if match.lastgroup == "op" else "ident"
-            tokens.append(Token(kind, lexeme, line, pos - line_start + 1))
         else:
-            for idx, ch in enumerate(lexeme):
-                if ch == "\n":
-                    line += 1
-                    line_start = pos + idx + 1
-        pos = match.end()
-    tokens.append(Token("end", "", line, pos - line_start + 1))
+            tokens.append((kind, match.group(), line, match.start() - line_start + 1))
+    tokens.append(("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -97,40 +88,30 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
     def fail(self, expected: set[str]) -> FormulaSyntaxError:
-        tok = self.peek()
-        what = "end of input" if tok.kind == "end" else repr(tok.text)
-        return FormulaSyntaxError(
-            f"unexpected {what}", tok.line, tok.column, frozenset(expected)
-        )
+        kind, text, line, column = self.tokens[self.index]
+        what = "end of input" if kind == "end" else repr(text)
+        return FormulaSyntaxError(f"unexpected {what}", line, column, frozenset(expected))
 
-    def expect_op(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
+    def expect_op(self, text: str) -> None:
+        kind, found = self.tokens[self.index][:2]
+        if kind != "op" or found != text:
             raise self.fail({f"'{text}'"})
-        return self.advance()
+        self.index += 1
 
     def expect_keyword(self, *words: str) -> str:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text not in words:
+        kind, text = self.tokens[self.index][:2]
+        if kind != "ident" or text not in words:
             raise self.fail({f"'{w}'" for w in words})
-        self.advance()
-        return tok.text
+        self.index += 1
+        return text
 
     def expect_name(self, role: str) -> str:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text in KEYWORDS:
+        kind, text = self.tokens[self.index][:2]
+        if kind != "ident" or text in KEYWORDS:
             raise self.fail({role})
-        self.advance()
-        return tok.text
+        self.index += 1
+        return text
 
     # grammar ---------------------------------------------------------------
 
@@ -143,7 +124,7 @@ class _Parser:
         while True:
             out = self.operand(stack)
             while True:
-                binary = _BINARY.get(self.tokens[self.index].text)
+                binary = _BINARY.get(self.tokens[self.index][1])
                 # a connective first completes each frame that binds at least as
                 # tightly (strictly more for one that groups right); any other
                 # token completes every frame above the innermost bracket
@@ -169,9 +150,9 @@ class _Parser:
         operand onto ``stack``; return the atom or constant that ends it."""
         while True:
             tok = self.tokens[self.index]
-            text = tok.text
+            text = tok[1]
             self.index += 1
-            if tok.kind == "ident" and text not in KEYWORDS:
+            if tok[0] == "ident" and text not in KEYWORDS:
                 return Atom(text)
             if text in _CONSTANT:
                 return _CONSTANT[text]
@@ -205,6 +186,6 @@ def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula; raise FormulaSyntaxError otherwise."""
     parser = _Parser(text)
     out = parser.formula()
-    if parser.peek().kind != "end":
+    if parser.tokens[parser.index][0] != "end":
         raise parser.fail({"end of input"})
     return out

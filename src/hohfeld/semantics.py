@@ -16,6 +16,8 @@ outright; between equally effective actions the old ideality decides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Mapping
 
 from .actions import ActionModelEnv, DeonticActionModel
 from .errors import EmptyProductError, ModelFormatError, NameResolutionError
@@ -36,7 +38,7 @@ from .formula import (
     Univ,
     children,
 )
-from .model import PrefActionModel
+from .model import CompiledModel, CompiledRelations, PrefActionModel
 
 PAIR_SEPARATOR = "*"
 
@@ -62,39 +64,47 @@ def evaluate(model: PrefActionModel, state: str, formula: Formula,
     """
     if state not in model.states:
         raise NameResolutionError(f"state {state!r} not in model")
-    return state in truth_set(model, formula, env)
+    return bool(_mask(model, formula, env) >> model.compiled.index[state] & 1)
 
 
 def truth_set(model: PrefActionModel, formula: Formula,
               env: ActionModelEnv | None = None) -> frozenset[str]:
-    """All states where the formula holds.
+    """All states where the formula holds."""
+    return model.compiled.states_of(_mask(model, formula, env))
 
-    Each node is labelled once, after its operands, on an explicit stack.
+
+def _mask(model: PrefActionModel, formula: Formula, env: ActionModelEnv | None) -> int:
+    """The formula's states on the model's compiled form, as a bit mask.
+
+    Each node object is labelled once, after its operands, on an explicit
+    stack; the formula keeps every node alive, so labels are keyed by id.
     A dynamic box's operand is its scope on the product, built only if the
-    action is executable somewhere.  Each label keeps its node alive.
+    action is executable somewhere.
     """
-    base = (model, {}, {})  # a model, its labels by node id, its successor maps
+    base = (model, model.compiled, {})  # a model, its compiled form, its labels by node id
     products: dict[int, tuple] = {}
     todo: list[tuple] = [(base, formula, None, None)]
     while todo:
         here, f, kids, there = todo.pop()
         if kids is None:
-            if id(f) in here[1]:
+            if id(f) in here[2]:
                 continue
-            kids, there = _operands(here, f, env, products)
+            if type(f) is ActBox:
+                kids, there = _box_operands(here, f, env, products)
+            else:
+                kids, there = children(f), here
             if kids:
                 todo.append((here, f, kids, there))
-                todo.extend([(there, g, None, None) for g in kids])
+                todo += [(there, g, None, None) for g in kids]
                 continue
-        args = [there[1][id(g)][1] for g in kids]
-        here[1][id(f)] = (f, _label(here, f, args, there))
-    return base[1][id(formula)][1]
+        labels = there[2] if kids else None
+        here[2][id(f)] = _label(here[1], f, [labels[id(g)] for g in kids], there)
+    return base[2][id(formula)]
 
 
-def _operands(here: tuple, f: Formula, env: ActionModelEnv | None, products: dict) -> tuple:
-    """The nodes ``f``'s label is computed from, and the model they are labelled on."""
-    if not isinstance(f, ActBox):
-        return children(f), here
+def _box_operands(here: tuple, f: ActBox, env: ActionModelEnv | None, products: dict) -> tuple:
+    """A box's scope and the product it is labelled on; none where the
+    action is executable nowhere."""
     if env is None:
         raise NameResolutionError(
             f"formula mentions action model {f.model!r} but no action models were supplied"
@@ -102,60 +112,78 @@ def _operands(here: tuple, f: Formula, env: ActionModelEnv | None, products: dic
     act = env.get(f.model)
     if f.action not in act.actions:
         raise NameResolutionError(f"action {f.action!r} not in action model {act.name!r}")
-    if not truth_set(here[0], act.pre[f.action]):  # static, as in ``product``
+    if not _precondition(here[0], act, f.action):
         return (), None
     after = env.product_of(here[0], f.model, product).model
-    return (f.arg,), products.setdefault(id(after), (after, {}, {}))
+    return (f.arg,), products.setdefault(id(after), (after, after.compiled, {}))
 
 
-def _label(here: tuple, f: Formula, args: list, there: tuple | None) -> frozenset[str]:
-    m, _, maps = here
-    everywhere = m.states
+def _precondition(model: PrefActionModel, act: DeonticActionModel, action: str) -> int:
+    """Where the action is executable, labelled once per (model, action
+    model) and without action models, as preconditions are static."""
+    compiled = model.compiled
+    hit = compiled.pre.get(id(act))
+    if hit is None:  # the entry pins ``act``, so its id is not reused
+        hit = compiled.pre[id(act)] = (act, {})
+    masks = hit[1]
+    mask = masks.get(action)
+    if mask is None:
+        mask = masks[action] = _mask(model, act.pre[action], None)
+    return mask
+
+
+def _label(c: CompiledModel, f: Formula, args: list, there: tuple | None) -> int:
+    full = c.full
     kind = type(f)
     if kind is Atom:
-        states = m.val.get(f.name)
+        states = c.val.get(f.name)
         if states is None:
             raise NameResolutionError(f"atom {f.name!r} not in model vocabulary")
-        return states & everywhere
+        return states
     if kind is Imp:
-        return (everywhere - args[0]) | args[1]
+        return (full ^ args[0]) | args[1]
     if kind is And:
         return args[0] & args[1]
     if kind is Not:
-        return everywhere - args[0]
+        return full ^ args[0]
     if kind is Top:
-        return everywhere
+        return full
     if kind is Or:
         return args[0] | args[1]
     if kind is Iff:
-        return everywhere - (args[0] ^ args[1])
+        return full ^ args[0] ^ args[1]
     if kind is Bot:
-        return frozenset()
+        return 0
     if kind is Univ:
-        return everywhere if args[0] == everywhere else frozenset()
+        return full if args[0] == full else 0
     if kind is ActBox:  # false where the pair-state w*a exists and the scope fails
-        fails = there[0].states - args[0] if there else ()
-        return frozenset(w for w in everywhere if pair_name(w, f.action) not in fails)
-    key = f.agent if kind is Does else (f.i, f.j)
-    if key not in maps:  # built once per model and relation
-        maps[key] = m.eq_map(f.agent) if kind is Does else m.pref_map(f.i, f.j)
-    succ = maps[key]
-    if kind is CondObl:
+        if there is None:
+            return full
+        after = there[1]
+        return full ^ ((after.full ^ args[0]) >> after.shift[f.action] & full)
+    bits, rows = c.bits, c.eq(f.agent) if kind is Does else c.pref(f.i, f.j)
+    if kind is CondObl:  # the phi-states with a witness, those without, who sees none
         psi, phi = args
-        witnesses = {u for u in phi if succ[u] & phi <= psi}
-        return frozenset(w for w in everywhere
-                         if all(succ[v] & witnesses for v in succ[w] & phi))
-    return frozenset(w for w in everywhere if succ[w] <= args[0])
+        fails = phi & ~psi
+        witnesses = sum(b for b, succ in zip(bits, rows) if b & phi and not succ & fails)
+        unwitnessed = sum(b for b, succ in zip(bits, rows) if b & phi and not succ & witnesses)
+        return sum(b for b, succ in zip(bits, rows) if not succ & unwitnessed)
+    fails = full ^ args[0]
+    return sum(b for b, succ in zip(bits, rows) if not succ & fails)
 
 
 def executable(model: PrefActionModel, state: str, act: DeonticActionModel,
                action: str, env: ActionModelEnv | None = None) -> bool:
-    """Does the action's precondition hold at the state?"""
+    """Does the action's precondition hold at the state?
+
+    The precondition is static and is labelled as ``product`` labels it,
+    without action models; ``env`` is accepted and not needed.
+    """
     if action not in act.actions:
         raise NameResolutionError(f"action {action!r} not in action model {act.name!r}")
     if state not in model.states:
         raise NameResolutionError(f"state {state!r} not in model")
-    return state in truth_set(model, act.pre[action], env)
+    return bool(_precondition(model, act, action) >> model.compiled.index[state] & 1)
 
 
 def product(model: PrefActionModel, act: DeonticActionModel) -> UpdatedModel:
@@ -166,6 +194,11 @@ def product(model: PrefActionModel, act: DeonticActionModel) -> UpdatedModel:
     reading undeclared pairs through their defaults (identity on the model,
     total on the action model); leaving them implicit would corrupt them,
     since the product of those defaults is not the identity.
+
+    The product is compiled as it is built: pair ``(w, a)`` is bit
+    ``k * n + p``, for ``a`` the ``k``-th action in sorted order and ``w``
+    at bit ``p`` of the model's ``n``.  Its relations are built as masks
+    row by row when first labelled, and as ``frozenset``s when first read.
     """
     for action in sorted(act.actions):
         if PAIR_SEPARATOR in action:
@@ -182,50 +215,68 @@ def product(model: PrefActionModel, act: DeonticActionModel) -> UpdatedModel:
                     "outside the model vocabulary"
                 )
 
-    actions = sorted(act.actions)
-    pre = {a: truth_set(model, act.pre[a]) for a in actions}
-    pairs = [(w, a) for w in sorted(model.states) for a in actions if w in pre[a]]
-    if not pairs:
+    base = model.compiled
+    width = len(base.names)
+    shift = {a: k * width for k, a in enumerate(sorted(act.actions))}
+    pre = {a: _precondition(model, act, a) for a in shift}
+    names: list[str | None] = [None] * (width * len(shift))
+    provenance = {}
+    for w in sorted(model.states):
+        p = base.index[w]
+        for a, k in shift.items():
+            if pre[a] >> p & 1:
+                name = names[k + p] = pair_name(w, a)
+                provenance[name] = (w, a)
+    if not provenance:
         raise EmptyProductError(
             f"no action of {act.name!r} is executable anywhere in the model"
         )
-    names = {wa: pair_name(*wa) for wa in pairs}
 
-    every = frozenset((a, b) for a in actions for b in actions)
-    new_pref: dict[tuple[str, str], frozenset[tuple[str, str]]] = {}
-    for i in sorted(model.agents):
-        for j in sorted(model.agents):
-            base = model.ideality(i, j)
-            le = act.rel.get((i, j), every)
-            new_pref[(i, j)] = frozenset(
-                (names[w, a], names[v, b])
-                for (w, a) in pairs for (v, b) in pairs
-                if (a, b) in le and ((b, a) not in le or (w, v) in base)
-            )
-
-    new_eq = {
-        agent: frozenset(
-            (names[w, a], names[v, b])
-            for (w, a) in pairs
-            for (v, b) in pairs
-            if (w, v) in rel
-        )
-        for agent, rel in sorted(model.eq.items())
-    }
-
-    new_val = {}
+    val = {}
     for atom in sorted(model.val):
-        after = {}
-        for a in sorted({a for _, a in pairs}):
-            post = act.post_formula(a, atom)
-            after[a] = model.val[atom] if post is None else truth_set(model, post)
-        new_val[atom] = frozenset(names[w, a] for (w, a) in pairs if w in after[a])
-
+        val[atom] = 0
+        for a, k in shift.items():
+            if pre[a]:
+                post = act.post_formula(a, atom)
+                after = base.val[atom] if post is None else _mask(model, post, None)
+                val[atom] |= (after & pre[a]) << k
+    compiled = CompiledModel(names, model.agents, model.eq, val,
+                             partial(_lex_rows, base, act.rel, pre, shift), shift)
+    agents = sorted(model.agents)
     updated = PrefActionModel(
-        states=frozenset(names.values()),
+        states=frozenset(provenance),
         agents=model.agents,
-        pref=new_pref,
-        eq=new_eq,
-        val=new_val,
+        pref=CompiledRelations(compiled, [(i, j) for i in agents for j in agents]),
+        eq=CompiledRelations(compiled, sorted(model.eq)),
+        val={atom: compiled.states_of(mask) for atom, mask in val.items()},
     )
-    return UpdatedModel(model=updated, provenance={names[wa]: wa for wa in pairs})
+    updated.__dict__["compiled"] = compiled  # what the cached property would hold
+    return UpdatedModel(model=updated, provenance=provenance)
+
+
+def _lex_rows(base: CompiledModel, rel: Mapping, pre: dict[str, int], shift: dict[str, int],
+              key: object) -> list[int]:
+    """Successor masks of one product relation, row by row.
+
+    For ideality, ``(w, a)`` sees every pair whose action is strictly above
+    ``a``, and the pairs ``(v, b)`` with ``v`` above ``w`` and ``b``
+    equivalent to ``a``.  Indistinguishability ignores the actions: it reads
+    as ideality under the total preorder, which is also an undeclared pair's.
+    """
+    if type(key) is tuple:
+        succ, le = base.pref(*key), rel.get(key)
+    else:
+        succ, le = base.eq(key), None
+    rows = [0] * (len(base.names) * len(shift))
+    lifted: dict[tuple, list[int]] = {}  # a class of equivalent actions -> its rows by source
+    for a, k in shift.items():
+        above = [b for b in shift if le is None or (a, b) in le]
+        same = tuple(b for b in above if le is None or (b, a) in le)
+        strict = sum(pre[b] << shift[b] for b in above if b not in same)
+        lift = lifted.get(same)
+        if lift is None:
+            lift = lifted[same] = [sum((s & pre[b]) << shift[b] for b in same) for s in succ]
+        for p, bit in enumerate(base.bits):
+            if bit & pre[a]:
+                rows[k + p] = strict | lift[p]
+    return rows

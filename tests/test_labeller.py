@@ -38,6 +38,11 @@ import hohfeld.scenarios as scenarios
 from conftest import formulas, static_formulas
 
 
+def above(rel, w):
+    """The states ``w`` sees along a relation, read straight off its pairs."""
+    return sorted(v for u, v in rel if u == w)
+
+
 def oracle_eval(model, w, f, env):
     if isinstance(f, Atom):
         states = model.val.get(f.name)
@@ -60,11 +65,11 @@ def oracle_eval(model, w, f, env):
         return oracle_eval(model, w, f.left, env) == oracle_eval(model, w, f.right, env)
     if isinstance(f, PrefBox):
         return all(oracle_eval(model, v, f.arg, env)
-                   for v in model.pref_successors(f.i, f.j, w))
+                   for v in above(model.ideality(f.i, f.j), w))
     if isinstance(f, Univ):
         return all(oracle_eval(model, v, f.arg, env) for v in sorted(model.states))
     if isinstance(f, Does):
-        return all(oracle_eval(model, v, f.arg, env) for v in model.eq_class(f.agent, w))
+        return all(oracle_eval(model, v, f.arg, env) for v in above(model.eq[f.agent], w))
     if isinstance(f, CondObl):
         return oracle_cond_obl(model, w, f.i, f.j, f.consequent, f.condition, env)
     if isinstance(f, ActBox):
@@ -74,15 +79,16 @@ def oracle_eval(model, w, f, env):
 
 def oracle_cond_obl(model, w, i, j, consequent, condition, env):
     """The forall-exists-forall obligation clause, evaluated directly."""
-    for v in model.pref_successors(i, j, w):
+    rel = model.ideality(i, j)
+    for v in above(rel, w):
         if not oracle_eval(model, v, condition, env):
             continue
         witnessed = False
-        for u in model.pref_successors(i, j, v):
+        for u in above(rel, v):
             if not oracle_eval(model, u, condition, env):
                 continue
             if all(oracle_eval(model, s, consequent, env)
-                   for s in model.pref_successors(i, j, u)
+                   for s in above(rel, u)
                    if oracle_eval(model, s, condition, env)):
                 witnessed = True
                 break

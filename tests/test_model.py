@@ -13,6 +13,8 @@ from hohfeld.model import (
     relation_to_blocks,
     validate,
 )
+from hohfeld.parser import parse
+from hohfeld.semantics import truth_set
 
 
 def naive_closure(edges, states):
@@ -142,10 +144,11 @@ def test_validate_reports_empty_state_set():
     assert any(v.relation == "states" for v in report.violations)
 
 
-def test_pref_successors_defaults_to_identity():
+def test_pref_box_reads_an_undeclared_pair_as_the_identity():
     m = simple_model(pref={})
-    assert m.pref_successors("i", "c", "w1") == ["w1"]
-    assert m.pref_successors("c", "i", "w2") == ["w2"]
+    # p holds at w1 only; every state sees just itself
+    assert truth_set(m, parse("[pref i c] p")) == {"w1"}
+    assert truth_set(m, parse("[pref c i] !p")) == {"w2"}
 
 
 def test_ideality_reads_an_undeclared_pair_as_the_identity():
@@ -154,15 +157,15 @@ def test_ideality_reads_an_undeclared_pair_as_the_identity():
     assert m.ideality("c", "i") == {("w1", "w1"), ("w2", "w2")}
 
 
-def test_pref_successors_unknown_agent_raises():
-    with pytest.raises(NameResolutionError):
-        simple_model().pref_successors("i", "zz", "w1")
+def test_pref_box_unknown_agent_raises():
+    with pytest.raises(NameResolutionError, match="agent 'zz' not in model"):
+        truth_set(simple_model(), parse("[pref i zz] p"))
 
 
-def test_eq_class_requires_declared_relation():
+def test_do_requires_declared_relation():
     m = simple_model()
-    assert m.eq_class("i", "w1") == ["w1"]
-    with pytest.raises(NameResolutionError):
-        m.eq_class("c", "w1")  # agent exists, relation undeclared
-    with pytest.raises(NameResolutionError):
-        m.eq_class("zz", "w1")
+    assert truth_set(m, parse("do i p")) == {"w1"}
+    with pytest.raises(NameResolutionError, match="no action-indistinguishability relation"):
+        truth_set(m, parse("do c p"))  # agent exists, relation undeclared
+    with pytest.raises(NameResolutionError, match="agent 'zz' not in model"):
+        truth_set(m, parse("do zz p"))

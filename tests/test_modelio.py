@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from hohfeld.actions import validate_action_model
 from hohfeld.errors import ModelFormatError, NameResolutionError
-from hohfeld.model import validate
+from hohfeld.model import closure, validate
 from hohfeld.modelio import (
     action_model_from_dict,
     action_model_to_dict,
@@ -83,6 +84,20 @@ def test_loader_verifies_relations_marked_closed():
     assert loaded.pref[("i", "i")] == {tuple(e) for e in edges}
     with pytest.raises(ModelFormatError, match=r"rel i->c .* lacks \['a1', 'a1'\]"):
         action_model_from_dict({**JOHN_DICT, "rel": {"i->c": {"edges": [], "closed": True}}})
+
+
+@given(st.lists(st.tuples(st.sampled_from(["w1", "w2", "w3", "w4"]),
+                          st.sampled_from(["w1", "w2", "w3", "w4"])), max_size=16))
+def test_a_relation_marked_closed_loads_iff_it_is_its_closure(edges):
+    states = ["w1", "w2", "w3", "w4"]
+    data = {"states": states, "agents": ["i"], "eq": {}, "val": {},
+            "pref": {"i->i": {"edges": [list(e) for e in edges], "closed": True}}}
+    full = closure(edges, states)
+    if full == frozenset(edges):
+        assert model_from_dict(data).pref[("i", "i")] == full
+    else:
+        with pytest.raises(ModelFormatError, match=re.escape(f"lacks {list(min(full - set(edges)))}")):
+            model_from_dict(data)
 
 
 @pytest.mark.parametrize("mutate, message_part", [

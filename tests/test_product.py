@@ -1,18 +1,22 @@
 """Lexicographic update: exact shapes, reversals, defaults, and error paths."""
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hohfeld.actions import ActionModelEnv, make_action_model
 from hohfeld.errors import EmptyProductError, ModelFormatError, NameResolutionError
 from hohfeld.generators import GeneratorConfig, random_action_model, random_model
 from hohfeld.isomorphism import isomorphic
-from hohfeld.model import blocks_to_relation, closure, make_model, validate
-from hohfeld.modelio import dumps_model
+from hohfeld.generators import random_static_formula
+from hohfeld.model import PrefActionModel, blocks_to_relation, closure, make_model, validate
+from hohfeld.modelio import dumps_model, model_to_dict
 from hohfeld.parser import parse
-from hohfeld.semantics import evaluate, product, truth_set
+from hohfeld.semantics import evaluate, pair_name, product, truth_set
 import hohfeld.scenarios as scenarios
 
 
@@ -249,3 +253,92 @@ def test_defaults_materialized_for_undeclared_pairs():
         (f"{w}*{a}", f"{w}*{b}")
         for w in ("u", "v") for a in ("a", "b") for b in ("a", "b")
     )
+
+
+# -- the row-wise product against the pairwise rule ------------------------------
+
+def pairwise_product(model, act):
+    """The lexicographic update read straight off its definition, one pair of
+    pair-states at a time: ``(w, a)`` sees ``(v, b)`` for ``i`` toward ``j``
+    iff ``b`` is at least as effective as ``a``, and either strictly more
+    effective or ``v`` at least as ideal as ``w``."""
+    actions = sorted(act.actions)
+    pre = {a: truth_set(model, act.pre[a]) for a in actions}
+    pairs = [(w, a) for w in sorted(model.states) for a in actions if w in pre[a]]
+    if not pairs:
+        raise EmptyProductError("empty")
+    names = {wa: pair_name(*wa) for wa in pairs}
+    every = frozenset((a, b) for a in actions for b in actions)
+    pref = {}
+    for i in sorted(model.agents):
+        for j in sorted(model.agents):
+            base = model.ideality(i, j)
+            le = act.rel.get((i, j), every)
+            pref[(i, j)] = frozenset(
+                (names[w, a], names[v, b])
+                for (w, a) in pairs for (v, b) in pairs
+                if (a, b) in le and ((b, a) not in le or (w, v) in base)
+            )
+    eq = {
+        agent: frozenset((names[w, a], names[v, b])
+                         for (w, a) in pairs for (v, b) in pairs if (w, v) in rel)
+        for agent, rel in sorted(model.eq.items())
+    }
+    val = {}
+    for atom in sorted(model.val):
+        after = {}
+        for a in sorted({a for _, a in pairs}):
+            post = act.post_formula(a, atom)
+            after[a] = model.val[atom] if post is None else truth_set(model, post)
+        val[atom] = frozenset(names[w, a] for (w, a) in pairs if w in after[a])
+    updated = PrefActionModel(states=frozenset(names.values()), agents=model.agents,
+                              pref=pref, eq=eq, val=val)
+    return updated, {names[wa]: wa for wa in pairs}
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_product_matches_the_pairwise_rule(seed):
+    cfg = GeneratorConfig(max_states=5)
+    rng = random.Random(seed)
+    model = random_model(cfg, rng)
+    act = random_action_model(cfg, model, rng)
+    try:
+        expected, provenance = pairwise_product(model, act)
+    except EmptyProductError:
+        with pytest.raises(EmptyProductError):
+            product(model, act)
+        return
+    # compared while its relations are still unread, then read one by one
+    assert product(model, act).model == expected
+    updated = product(model, act)
+    assert list(updated.provenance.items()) == list(provenance.items())
+    got = updated.model
+    assert got.states == expected.states and got.agents == expected.agents
+    assert list(got.pref) == list(expected.pref) and list(got.eq) == list(expected.eq)
+    for key, rel in expected.pref.items():
+        assert got.pref[key] == rel
+    for key, rel in expected.eq.items():
+        assert got.eq[key] == rel
+    assert got.val == expected.val
+    assert model_to_dict(got) == model_to_dict(expected)
+    assert got == expected
+    # labelling reads the product's masks, not its pairs
+    f = random_static_formula(rng, tuple(sorted(model.val)), tuple(sorted(model.agents)), 3)
+    assert truth_set(product(model, act).model, f) == truth_set(expected, f)
+
+
+def test_models_and_products_are_freed_by_reference_counting(john):
+    gc.disable()
+    try:
+        model = scenarios.parking_model()
+        env = ActionModelEnv([john])
+        truth_set(model, parse("[act John a1] O i c (f / p)"), env)
+        updated = env.product_of(model, "John", product)
+        dumps_model(updated.model)  # every relation read
+        alive = [weakref.ref(x) for x in (model, model.compiled, updated,
+                                          updated.model, updated.model.compiled)]
+        del model, env, updated
+        assert [ref() for ref in alive] == [None] * len(alive)
+    finally:
+        gc.enable()

@@ -11,6 +11,7 @@ distinct subterms, and that they print as the tree they stand for.
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import fields
 
 import pytest
@@ -30,6 +31,8 @@ from hohfeld.formula import (
     Or,
     PrefBox,
     Univ,
+    agent_names,
+    atom_names,
     children,
     is_static,
     rebuild,
@@ -251,6 +254,16 @@ def test_translation_builds_each_distinct_subterm_about_once(k):
     text = str(out)
     assert len(text) == chars
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_tree_walking_helpers_visit_each_node_object_once():
+    out = translate(_family(6), ActionModelEnv([scenarios.john_action_model()]))
+    start = time.perf_counter()
+    assert is_static(out)
+    assert size(out) == FAMILY[6][0]
+    assert atom_names(out) == {"d", "p"} and agent_names(out) == frozenset()
+    # a walk of the 1 809 078-node tree takes over a second
+    assert time.perf_counter() - start < 0.2
 
 
 def test_separate_translations_compare_and_hash_equal():

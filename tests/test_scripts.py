@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     # the default seed refutes the paper doRed at sample 13 and univRed at 45
     ["scripts/audit_axioms.py", "--samples", "50"],
     ["scripts/parking_walkthrough.py"],
+    ["scripts/product_sweep.py", "--seed", "3", "--states", "8", "16", "--repeat", "1"],
 ])
 def test_script_exits_cleanly(argv):
     done = _run(argv)
