@@ -7,7 +7,8 @@ The sound variant should survive the whole table; the paper variant of the
 rules in ``PAPER_ERRATA`` (the universal and agency reductions) should each
 produce a verified counterexample.  The ``expected`` column says which; the
 script exits 1 when any row contradicts it, as ``hohfeld audit`` does for
-one axiom.
+one axiom.  Each row also gives the samples the audit tried (all of them,
+or up to its counterexample) and how many it tried per second.
 
 Run:  python3 scripts/audit_axioms.py [--samples N] [--seed N]
 """
@@ -16,7 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
+from hohfeld.errors import HohfeldError
 from hohfeld.generators import GeneratorConfig
 from hohfeld.reduction import AXIOMS, PAPER_ERRATA, PAPER_FORM, VARIANTS, audit_axiom
 
@@ -28,16 +31,23 @@ def main() -> int:
     cli.add_argument("--show-counterexamples", action="store_true",
                      help="print full counterexample JSON, not just the summary")
     args = cli.parse_args()
-    cfg = GeneratorConfig(seed=args.seed, sample_count=args.samples)
+    try:
+        cfg = GeneratorConfig(seed=args.seed, sample_count=args.samples)
+    except HohfeldError as err:
+        cli.error(str(err))
 
-    header = f"{'axiom':<12} {'variant':<8} {'expected':<16} {'result':<16} detail"
+    header = (f"{'axiom':<12} {'variant':<8} {'expected':<16} {'result':<16} "
+              f"{'samples':>7} {'samples/s':>9} detail")
     print(header)
     print("-" * len(header))
     found = []
     contradicted = 0
     for name in sorted(AXIOMS):
         for variant in VARIANTS:
+            start = time.perf_counter()
             report = audit_axiom(name, cfg, variant)
+            elapsed = time.perf_counter() - start
+            tried = cfg.sample_count if report is None else report.sample_index + 1
             expected = ("counterexample" if name in PAPER_ERRATA and variant == PAPER_FORM
                         else "none")
             result = "none" if report is None else "counterexample"
@@ -47,7 +57,8 @@ def main() -> int:
             if result != expected:
                 contradicted += 1
                 detail = f"UNEXPECTED {detail}".rstrip()
-            print(f"{name:<12} {variant:<8} {expected:<16} {result:<16} {detail}".rstrip())
+            print(f"{name:<12} {variant:<8} {expected:<16} {result:<16} "
+                  f"{tried:>7} {tried / elapsed:>9.0f} {detail}".rstrip())
             if report is not None:
                 found.append(report)
 

@@ -7,6 +7,7 @@ audit axiom schemas against seeded random countermodel searches.
 """
 from .actions import ActionModelEnv, DeonticActionModel, make_action_model, validate_action_model
 from .errors import (
+    ConfigError,
     EmptyProductError,
     FormulaSyntaxError,
     HohfeldError,

@@ -37,3 +37,7 @@ class EmptyProductError(HohfeldError):
 
 class SizeLimitError(HohfeldError):
     """An exact algorithm was asked to run beyond its guaranteed size bound."""
+
+
+class ConfigError(HohfeldError):
+    """A generator or audit setting was outside its documented range."""

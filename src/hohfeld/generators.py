@@ -5,14 +5,21 @@ config yields an identical sequence of instances on every run.  Degenerate
 shapes come up with positive probability on purpose: identity and total
 preorders, singleton and total partitions, empty and full valuations,
 constant postconditions, and mutually exclusive preconditions.
+
+A random model is drawn straight into its compiled form: state ``w<k>`` is
+bit ``k`` and every relation a list of successor masks, so an audit labels
+it without building a relation of state pairs; those are built when read.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 
 from .actions import DeonticActionModel
+from .errors import ConfigError
 from .formula import (
     BOT,
     TOP,
@@ -32,7 +39,7 @@ from .formula import (
     conj,
     is_static,
 )
-from .model import PrefActionModel, blocks_to_relation, closure
+from .model import CompiledModel, CompiledRelations, PrefActionModel
 
 AGENT_POOL = ("i", "j", "k", "l", "m", "n")
 ATOM_POOL = ("p", "q", "r", "s", "t", "u1")
@@ -40,16 +47,18 @@ ATOM_POOL = ("p", "q", "r", "s", "t", "u1")
 DEFAULT_SEED = 42
 
 
-def _cumulative(names: tuple[str, ...], weights: tuple[int, ...]) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """A draw table: the names and their running weight totals, in the order
-    ``rng.choices`` reads them; reordering an entry changes every seeded draw."""
-    return names, tuple(accumulate(weights))
+def _cumulative(names: tuple[str, ...], weights: tuple[int, ...]) -> tuple:
+    """A draw table: the names, their running weight totals, the grand total
+    and the last index; reordering an entry changes every seeded draw."""
+    totals = tuple(accumulate(weights))
+    return names, totals, float(totals[-1]), len(totals) - 1
 
 
 def _draw(rng: random.Random, table: tuple) -> str:
-    """One weighted draw; ``choices`` given the running totals draws what it
-    draws given the weights, without summing them at each call."""
-    return rng.choices(table[0], cum_weights=table[1])[0]
+    """One weighted draw: one ``random()`` read against the running totals,
+    which is the draw ``rng.choices`` makes given them."""
+    names, totals, total, last = table
+    return names[bisect_right(totals, rng.random() * total, 0, last)]
 
 
 _PREORDER_MODES = _cumulative(("absent", "identity", "total", "chain", "random"), (15, 15, 15, 15, 40))
@@ -61,6 +70,13 @@ _POST_MODES = _cumulative(("top", "bot", "formula"), (30, 30, 40))
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """Bounds of the random instances and the number of audit samples.
+
+    Every ``max_*`` bound and ``sample_count`` must be at least 1,
+    ``max_formula_depth`` at least 0, and ``max_agents``/``max_atoms`` at
+    most their pool of six names; anything else raises ``ConfigError``.
+    """
+
     seed: int = DEFAULT_SEED
     max_states: int = 5
     max_actions: int = 3
@@ -69,53 +85,85 @@ class GeneratorConfig:
     max_formula_depth: int = 4
     sample_count: int = 500
 
+    def __post_init__(self) -> None:
+        least = {"max_states": 1, "max_actions": 1, "max_atoms": 1, "max_agents": 1,
+                 "max_formula_depth": 0, "sample_count": 1}
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        for name, pool in (("max_agents", AGENT_POOL), ("max_atoms", ATOM_POOL)):
+            if getattr(self, name) > len(pool):
+                raise ConfigError(
+                    f"{name} must be at most {len(pool)}, the size of its name pool, "
+                    f"got {getattr(self, name)}")
 
-def _random_preorder(rng: random.Random, members: list[str]) -> frozenset | None:
-    """A preorder over members, or None meaning "leave undeclared"."""
+
+def _preorder_rows(rng: random.Random, n: int) -> list[int] | None:
+    """A preorder over the positions of ``n`` members as successor masks, or
+    None meaning "leave undeclared"; positions follow the members' order."""
     mode = _draw(rng, _PREORDER_MODES)
     if mode == "absent":
         return None
     if mode == "identity":
-        return closure([], members)
+        return [1 << p for p in range(n)]
     if mode == "total":
-        return frozenset((a, b) for a in members for b in members)
-    if mode == "chain":
-        order = list(members)
+        return [(1 << n) - 1] * n
+    if mode == "chain":  # each member sees itself and every later one
+        order = list(range(n))
         rng.shuffle(order)
-        return closure([(order[k], order[k + 1]) for k in range(len(order) - 1)], members)
-    edges = [
-        (a, b)
-        for a in members
-        for b in members
-        if a != b and rng.random() < 0.35
-    ]
-    return closure(edges, members)
+        rows, above = [0] * n, 0
+        for p in reversed(order):
+            above |= 1 << p
+            rows[p] = above
+        return rows
+    rows = [1 << p for p in range(n)]
+    for p in range(n):
+        for q in range(n):
+            if p != q and rng.random() < 0.35:
+                rows[p] |= 1 << q
+    for k in range(n):  # Warshall: after step k, paths through k are shortcut
+        bit = 1 << k
+        for p in range(n):
+            if rows[p] & bit:
+                rows[p] |= rows[k]
+    return rows
 
 
-def _random_partition(rng: random.Random, members: list[str]) -> frozenset:
+def _partition_rows(rng: random.Random, n: int) -> list[int]:
+    """A partition of the positions of ``n`` members: each row its class."""
     mode = _draw(rng, _PARTITION_MODES)
     if mode == "singletons":
-        return blocks_to_relation([[w] for w in members])
+        return [1 << p for p in range(n)]
     if mode == "total":
-        return blocks_to_relation([members])
-    order = list(members)
+        return [(1 << n) - 1] * n
+    order = list(range(n))
     rng.shuffle(order)
-    blocks: list[list[str]] = [[order[0]]]
-    for w in order[1:]:
+    blocks: list[list[int]] = [[order[0]]]
+    for p in order[1:]:
         if rng.random() < 0.5:
-            blocks.append([w])
+            blocks.append([p])
         else:
-            rng.choice(blocks).append(w)
-    return blocks_to_relation(blocks)
+            rng.choice(blocks).append(p)
+    rows = [0] * n
+    for block in blocks:
+        mask = sum(1 << p for p in block)
+        for p in block:
+            rows[p] = mask
+    return rows
 
 
 def random_model(cfg: GeneratorConfig, rng: random.Random | None = None,
                  atoms: tuple[str, ...] | None = None,
                  agents: tuple[str, ...] | None = None) -> PrefActionModel:
-    """One random model; vocabulary can be pinned for equivalence checks."""
+    """One random model; vocabulary can be pinned for equivalence checks.
+
+    It comes compiled, and its ``pref``/``eq`` relations are built as state
+    pairs only when read.
+    """
     if rng is None:
         rng = random.Random(cfg.seed)
     states = [f"w{k}" for k in range(rng.randint(1, cfg.max_states))]
+    n, full = len(states), (1 << len(states)) - 1
     if agents is None:
         agents = AGENT_POOL[: rng.randint(1, cfg.max_agents)]
     if atoms is None:
@@ -124,30 +172,40 @@ def random_model(cfg: GeneratorConfig, rng: random.Random | None = None,
     pref = {}
     for i in agents:
         for j in agents:
-            rel = _random_preorder(rng, states)
-            if rel is not None:
-                pref[(i, j)] = rel
+            rows = _preorder_rows(rng, n)
+            if rows is not None:
+                pref[(i, j)] = rows
 
     # every agent gets a partition: random formulas may apply "do" to any of them
-    eq = {agent: _random_partition(rng, states) for agent in agents}
+    eq = {agent: _partition_rows(rng, n) for agent in agents}
 
     val = {}
     for atom in atoms:
         mode = _draw(rng, _VALUATION_MODES)
         if mode == "empty":
-            val[atom] = frozenset()
+            val[atom] = 0
         elif mode == "full":
-            val[atom] = frozenset(states)
+            val[atom] = full
         else:
-            val[atom] = frozenset(w for w in states if rng.random() < 0.5)
+            val[atom] = sum(1 << p for p in range(n) if rng.random() < 0.5)
 
-    return PrefActionModel(
+    compiled = CompiledModel(states, frozenset(agents), eq, val,
+                             partial(_drawn_rows, {**pref, **eq}, n))
+    model = PrefActionModel(
         states=frozenset(states),
         agents=frozenset(agents),
-        pref=pref,
-        eq=eq,
-        val=val,
+        pref=CompiledRelations(compiled, pref),
+        eq=CompiledRelations(compiled, eq),
+        val={atom: compiled.states_of(mask) for atom, mask in val.items()},
     )
+    model.__dict__["compiled"] = compiled  # what the cached property would hold
+    return model
+
+
+def _drawn_rows(drawn: dict, n: int, key: object) -> list[int]:
+    """A drawn relation's successor masks; an undeclared pair's is the identity."""
+    rows = drawn.get(key)
+    return [1 << p for p in range(n)] if rows is None else rows
 
 
 def _exclusive_preconditions(atoms: tuple[str, ...], count: int) -> list[Formula]:
@@ -181,9 +239,10 @@ def random_action_model(cfg: GeneratorConfig, model: PrefActionModel,
     rel = {}
     for i in agents:
         for j in agents:
-            relation = _random_preorder(rng, actions)
-            if relation is not None:
-                rel[(i, j)] = relation
+            rows = _preorder_rows(rng, len(actions))
+            if rows is not None:
+                rel[(i, j)] = frozenset((a, b) for a, row in zip(actions, rows)
+                                        for q, b in enumerate(actions) if row >> q & 1)
 
     pre_mode = _draw(rng, _PRE_MODES)
     if pre_mode == "top":
@@ -249,7 +308,7 @@ def random_dynamic_formula(rng: random.Random, atoms: tuple[str, ...],
 
 
 def _random_formula(rng: random.Random, atoms: tuple[str, ...], agents: tuple[str, ...],
-                    depth: int, kinds: tuple[tuple[str, ...], tuple[int, ...]],
+                    depth: int, kinds: tuple,
                     act: DeonticActionModel | None) -> Formula:
     if depth <= 0 or rng.random() < 0.2:
         leaf = _draw(rng, _LEAVES)

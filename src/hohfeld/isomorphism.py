@@ -26,19 +26,21 @@ class IsoWitness:
         return dict(self.mapping)
 
 
-def _signature(model: PrefActionModel, w: str, pref_keys, eq_keys, rels) -> tuple:
-    atoms = tuple(sorted(a for a, ws in model.val.items() if w in ws))
-    degrees = []
-    for key in pref_keys:
-        rel = rels[key]
-        out = sum(1 for v in model.states if (w, v) in rel)
-        into = sum(1 for v in model.states if (v, w) in rel)
-        degrees.append((out, into))
-    classes = []
-    for agent in eq_keys:
-        rel = model.eq[agent]
-        classes.append(sum(1 for v in model.states if (w, v) in rel))
-    return (atoms, tuple(degrees), tuple(classes))
+def _signatures(model: PrefActionModel, pref_keys, eq_keys) -> dict[str, tuple]:
+    """Each state's atoms, its out- and in-degree along each ideality
+    relation and its class size along each partition, read off the compiled
+    successor masks as popcounts."""
+    c = model.compiled
+    rows = [c.rows(key) for key in pref_keys]
+    into = [[sum(row >> p & 1 for row in succ) for p in range(len(succ))] for succ in rows]
+    classes = [c.rows(agent) for agent in eq_keys]
+    atoms = sorted(c.val.items())
+    return {
+        w: (tuple(atom for atom, mask in atoms if mask >> p & 1),
+            tuple((succ[p].bit_count(), ins[p]) for succ, ins in zip(rows, into)),
+            tuple(succ[p].bit_count() for succ in classes))
+        for w, p in c.index.items()
+    }
 
 
 def isomorphic(a: PrefActionModel, b: PrefActionModel) -> IsoWitness | None:
@@ -57,8 +59,8 @@ def isomorphic(a: PrefActionModel, b: PrefActionModel) -> IsoWitness | None:
     rels_a = {key: a.ideality(*key) for key in pref_keys}
     rels_b = {key: b.ideality(*key) for key in pref_keys}
 
-    sig_a = {w: _signature(a, w, pref_keys, eq_keys, rels_a) for w in a.states}
-    sig_b = {w: _signature(b, w, pref_keys, eq_keys, rels_b) for w in b.states}
+    sig_a = _signatures(a, pref_keys, eq_keys)
+    sig_b = _signatures(b, pref_keys, eq_keys)
     if sorted(sig_a.values()) != sorted(sig_b.values()):
         return None
 

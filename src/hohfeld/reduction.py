@@ -64,7 +64,7 @@ from .generators import (
 )
 from .model import PrefActionModel
 from .modelio import action_model_to_dict, model_to_dict
-from .semantics import evaluate, truth_set
+from .semantics import _mask, evaluate
 
 SOUND_FORM = "sound"
 PAPER_FORM = "paper"
@@ -196,19 +196,24 @@ def _search(cfg: GeneratorConfig, draw: Callable, **fields) -> CounterexampleRep
     """The first seeded sample whose two sides differ somewhere, or None.
 
     ``draw(rng)`` gives one sample: a model, the two sides, and the action
-    models they may mention, which get a fresh environment per sample.  The
-    report names the least state where the sides differ, and is re-verified.
+    models they may mention, which get a fresh environment per sample.  Both
+    sides are labelled in one pass, so a subterm they share is labelled
+    once.  The report names the least state where the sides differ, and is
+    re-verified.
     """
     rng = random.Random(cfg.seed)
     for index in range(cfg.sample_count):
         model, lhs, rhs, acts = draw(rng)
         env = ActionModelEnv(acts)
-        left, right = truth_set(model, lhs, env), truth_set(model, rhs, env)
+        labels = _mask(model, (lhs, rhs), env)
+        left, right = labels[id(lhs)], labels[id(rhs)]
         if left != right:
-            w = min(left ^ right)
+            compiled = model.compiled
+            w = min(compiled.states_of(left ^ right))
+            bit = 1 << compiled.index[w]
             report = CounterexampleReport(
-                lhs=lhs, rhs=rhs, model=model, state=w, lhs_value=w in left,
-                rhs_value=w in right, action_model=acts[0] if len(acts) == 1 else None,
+                lhs=lhs, rhs=rhs, model=model, state=w, lhs_value=bool(left & bit),
+                rhs_value=bool(right & bit), action_model=acts[0] if len(acts) == 1 else None,
                 sample_index=index, **fields)
             if not report.verify(env):
                 raise AssertionError("counterexample failed to reproduce")

@@ -64,26 +64,32 @@ def evaluate(model: PrefActionModel, state: str, formula: Formula,
     """
     if state not in model.states:
         raise NameResolutionError(f"state {state!r} not in model")
-    return bool(_mask(model, formula, env) >> model.compiled.index[state] & 1)
+    return bool(_mask(model, (formula,), env)[id(formula)] >> model.compiled.index[state] & 1)
 
 
 def truth_set(model: PrefActionModel, formula: Formula,
               env: ActionModelEnv | None = None) -> frozenset[str]:
     """All states where the formula holds."""
-    return model.compiled.states_of(_mask(model, formula, env))
+    return model.compiled.states_of(_mask(model, (formula,), env)[id(formula)])
 
 
-def _mask(model: PrefActionModel, formula: Formula, env: ActionModelEnv | None) -> int:
-    """The formula's states on the model's compiled form, as a bit mask.
+def _mask(model: PrefActionModel, roots: tuple[Formula, ...],
+          env: ActionModelEnv | None) -> dict[int, int]:
+    """The states of the roots and of every node under them on the model's
+    compiled form, as bit masks by node id; ``[id(root)]`` reads a root's.
 
     Each node object is labelled once, after its operands, on an explicit
-    stack; the formula keeps every node alive, so labels are keyed by id.
-    A dynamic box's operand is its scope on the product, built only if the
-    action is executable somewhere.
+    stack, whichever roots share it; the roots keep every node alive, so
+    labels are keyed by id.  The roots are labelled in order, so the first
+    one that fails raises.  A dynamic box's operand is its scope on the
+    product, built only if the action is executable somewhere; every box
+    that reaches one product shares that product's labels.
     """
     base = (model, model.compiled, {})  # a model, its compiled form, its labels by node id
     products: dict[int, tuple] = {}
-    todo: list[tuple] = [(base, formula, None, None)]
+    todo: list[tuple] = []
+    for f in reversed(roots):  # a loop, not a comprehension: one root costs no call
+        todo.append((base, f, None, None))
     while todo:
         here, f, kids, there = todo.pop()
         if kids is None:
@@ -99,7 +105,7 @@ def _mask(model: PrefActionModel, formula: Formula, env: ActionModelEnv | None) 
                 continue
         labels = there[2] if kids else None
         here[2][id(f)] = _label(here[1], f, [labels[id(g)] for g in kids], there)
-    return base[2][id(formula)]
+    return base[2]
 
 
 def _box_operands(here: tuple, f: ActBox, env: ActionModelEnv | None, products: dict) -> tuple:
@@ -128,7 +134,8 @@ def _precondition(model: PrefActionModel, act: DeonticActionModel, action: str) 
     masks = hit[1]
     mask = masks.get(action)
     if mask is None:
-        mask = masks[action] = _mask(model, act.pre[action], None)
+        pre = act.pre[action]
+        mask = masks[action] = _mask(model, (pre,), None)[id(pre)]
     return mask
 
 
@@ -238,7 +245,7 @@ def product(model: PrefActionModel, act: DeonticActionModel) -> UpdatedModel:
         for a, k in shift.items():
             if pre[a]:
                 post = act.post_formula(a, atom)
-                after = base.val[atom] if post is None else _mask(model, post, None)
+                after = base.val[atom] if post is None else _mask(model, (post,), None)[id(post)]
                 val[atom] |= (after & pre[a]) << k
     compiled = CompiledModel(names, model.agents, model.eq, val,
                              partial(_lex_rows, base, act.rel, pre, shift), shift)

@@ -307,6 +307,21 @@ def test_audit_missing_expected_counterexample_fails(capsys):
     assert capsys.readouterr().out.strip() == "none"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--max-states", "0"], ["--max-agents", "0"], ["--max-atoms", "0"], ["--max-actions", "0"],
+    ["--max-depth", "-1"], ["--samples", "0"], ["--samples", "-3"], ["--max-agents", "7"],
+    ["--max-atoms", "7"],
+])
+def test_audit_bounds_out_of_range_are_input_errors(flags, capsys):
+    # a bound the generators cannot meet, or an audit of no samples, is not a pass
+    code = main(["audit", "--axiom", "S5U", *flags])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_audit_unknown_axiom_is_rejected_by_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["audit", "--axiom", "nosuch"])

@@ -1,9 +1,14 @@
 """Seeded generators: determinism, validity, bounds, and degenerate coverage."""
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
+import pytest
+
 from hohfeld.actions import validate_action_model
+from hohfeld.errors import ConfigError, HohfeldError
 from hohfeld.formula import ActBox, Atom, is_static, subformulas
 from hohfeld.generators import (
     AGENT_POOL,
@@ -17,7 +22,8 @@ from hohfeld.generators import (
     random_static_formula,
 )
 from hohfeld.model import make_model, validate
-from hohfeld.modelio import dumps_action_model, dumps_model
+from hohfeld.modelio import dumps_action_model, dumps_model, model_from_dict, model_to_dict
+from hohfeld.reduction import AXIOMS, VARIANTS, audit_axiom
 from hohfeld.semantics import evaluate
 
 
@@ -30,6 +36,78 @@ def test_config_defaults():
     assert cfg.max_agents == 2
     assert cfg.max_formula_depth == 4
     assert cfg.sample_count == 500
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_states", 0), ("max_actions", 0), ("max_atoms", 0), ("max_agents", 0),
+    ("max_formula_depth", -1), ("sample_count", 0), ("sample_count", -3),
+    ("max_agents", len(AGENT_POOL) + 1), ("max_atoms", len(ATOM_POOL) + 1),
+])
+def test_config_rejects_bounds_the_generators_cannot_meet(field, value):
+    with pytest.raises(ConfigError, match=field) as caught:
+        GeneratorConfig(**{field: value})
+    assert isinstance(caught.value, HohfeldError)
+
+
+def test_config_accepts_the_extreme_valid_bounds():
+    cfg = GeneratorConfig(max_states=1, max_actions=1, max_atoms=len(ATOM_POOL),
+                          max_agents=len(AGENT_POOL), max_formula_depth=0, sample_count=1)
+    rng = random.Random(cfg.seed)
+    model = random_model(cfg, rng)
+    assert len(model.states) == 1
+    assert len(random_action_model(cfg, model, rng).actions) == 1
+
+
+# sha256 digests of the seeded streams, computed before random models were
+# drawn straight into compiled masks; a change to any draw changes them
+STREAM_DIGEST = "bc5f402752117562fefc69095e159eeec643b39b7b78a5601c28af6b8dc2dbd4"
+AUDIT_DIGEST = "3d30b171c903bfe1740ef55774652e1921457c0f05752bf03041330442d59c40"
+
+
+def test_seeded_stream_is_pinned():
+    # seeds 0-19 x 25 samples: model, action model and static formula dumps,
+    # with the generator's state after each draw
+    digest = hashlib.sha256()
+    for seed in range(20):
+        cfg = GeneratorConfig(seed=seed)
+        rng = random.Random(seed)
+        for _ in range(25):
+            model = random_model(cfg, rng)
+            digest.update(dumps_model(model).encode() + repr(rng.getstate()).encode())
+            act = random_action_model(cfg, model, rng)
+            digest.update(dumps_action_model(act).encode() + repr(rng.getstate()).encode())
+            f = random_static_formula(rng, tuple(sorted(model.val)), tuple(sorted(model.agents)),
+                                      cfg.max_formula_depth)
+            digest.update(str(f).encode() + repr(rng.getstate()).encode())
+    assert digest.hexdigest() == STREAM_DIGEST
+
+
+def test_audit_reports_are_pinned():
+    # every axiom in both variants at seeds 0-2, 60 samples of at most 4 states
+    digest = hashlib.sha256()
+    for seed in range(3):
+        cfg = GeneratorConfig(seed=seed, sample_count=60, max_states=4)
+        for name in sorted(AXIOMS):
+            for variant in VARIANTS:
+                report = audit_axiom(name, cfg, variant)
+                text = "none" if report is None else json.dumps(report.to_json_dict(), sort_keys=True)
+                digest.update(f"{name} {variant} {text}\n".encode())
+    assert digest.hexdigest() == AUDIT_DIGEST
+
+
+def test_random_models_come_compiled_and_read_as_their_relations():
+    cfg = GeneratorConfig(max_states=4)
+    rng = random.Random(9)
+    for _ in range(40):
+        model = random_model(cfg, rng)
+        assert "compiled" in model.__dict__
+        reloaded = model_from_dict(model_to_dict(model))
+        assert reloaded == model
+        for key in reloaded.pref:
+            assert model.compiled.pref(*key) == reloaded.compiled.pref(*key)
+        for agent in reloaded.eq:
+            assert model.compiled.eq(agent) == reloaded.compiled.eq(agent)
+        assert model.compiled.val == reloaded.compiled.val
 
 
 def test_same_seed_reproduces_the_whole_stream():

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hohfeld.actions import ActionModelEnv, make_action_model
-from hohfeld.errors import NameResolutionError
+from hohfeld.errors import EmptyProductError, HohfeldError, NameResolutionError
 from hohfeld.formula import (
     ActBox,
     And,
@@ -32,7 +33,7 @@ from hohfeld.formula import (
 from hohfeld.generators import GeneratorConfig, random_model
 from hohfeld.model import closure
 from hohfeld.parser import parse
-from hohfeld.semantics import pair_name, product, truth_set
+from hohfeld.semantics import _mask, pair_name, product, truth_set
 import hohfeld.scenarios as scenarios
 
 from conftest import formulas, static_formulas
@@ -120,11 +121,12 @@ def _model(seed: int):
     return random_model(cfg, random.Random(seed), atoms=ATOMS, agents=AGENTS)
 
 
-def _env():
+def _env(nowhere: bool = False):
+    """A and John; with ``nowhere``, no action of A is executable anywhere."""
     a_model = make_action_model(
         name="A", owner="x", actions=["a1", "a2"],
         rel={("i", "j"): closure([("a1", "a2")], ["a1", "a2"])},
-        pre={"a1": parse("p"), "a2": parse("!p")},
+        pre={"a1": parse("false" if nowhere else "p"), "a2": parse("false" if nowhere else "!p")},
         post={"a1": {"q": parse("true")}},
     )
     return ActionModelEnv([a_model, scenarios.john_action_model()])
@@ -142,3 +144,54 @@ def test_labeller_matches_the_per_state_oracle_on_static_formulas(f, seed):
 def test_labeller_matches_the_per_state_oracle_on_dynamic_formulas(f, seed):
     model = _model(seed)
     assert truth_set(model, f, _env()) == oracle_truth_set(model, f, _env())
+
+
+def _separately(model, roots, env_of):
+    """Each root's truth set from its own ``truth_set`` call, or the type and
+    text of the error that call raises."""
+    out = []
+    for f in roots:
+        try:
+            out.append(truth_set(model, f, env_of()))
+        except HohfeldError as err:
+            out.append((type(err), str(err)))
+    return out
+
+
+@settings(max_examples=100)
+@given(f=formulas, g=formulas, seed=st.integers(0, 2**32 - 1),
+       narrow=st.booleans(), nowhere=st.booleans())
+def test_one_multi_root_call_labels_as_separate_truth_set_calls(f, g, seed, narrow, nowhere):
+    # ``narrow`` drops atom V and agent c, so some roots fail to resolve;
+    # ``nowhere`` leaves A's product empty, so its boxes hold vacuously
+    cfg = GeneratorConfig(max_states=4)
+    model = random_model(cfg, random.Random(seed), atoms=ATOMS[1:] if narrow else ATOMS,
+                         agents=AGENTS[1:] if narrow else AGENTS)
+    box = ActBox("A", "a1", f)
+    roots = (f, g, And(f, g), box, ActBox("John", "a2", f), Not(box), And(box, g))
+    expected = _separately(model, roots, lambda: _env(nowhere))
+    errors = [r for r in expected if type(r) is tuple]
+    if errors:  # the roots are labelled in order, so the first failing one raises
+        with pytest.raises(errors[0][0]) as caught:
+            _mask(model, roots, _env(nowhere))
+        assert str(caught.value) == errors[0][1]
+    else:
+        labels = _mask(model, roots, _env(nowhere))
+        assert [model.compiled.states_of(labels[id(r)]) for r in roots] == expected
+
+
+def test_multi_root_boxes_over_an_action_executable_nowhere_hold_vacuously():
+    model, env = _model(3), _env(nowhere=True)
+    with pytest.raises(EmptyProductError):
+        product(model, env.get("A"))
+    scope = Atom("p")
+    roots = (ActBox("A", "a1", scope), Not(ActBox("A", "a2", scope)), scope)
+    labels = _mask(model, roots, env)
+    assert [labels[id(r)] for r in roots] == [model.compiled.full, 0, model.compiled.val["p"]]
+
+
+def test_multi_root_call_raises_what_the_first_failing_root_raises():
+    model = _model(5)
+    roots = (Atom("p"), PrefBox("i", "nobody", Atom("p")), Atom("nothing"))
+    with pytest.raises(NameResolutionError, match="nobody"):
+        _mask(model, roots, None)

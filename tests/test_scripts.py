@@ -23,6 +23,28 @@ def test_script_exits_cleanly(argv):
     assert done.stdout
 
 
+def test_audit_script_reports_samples_tried_and_their_rate():
+    done = _run(["scripts/audit_axioms.py", "--samples", "50"])
+    assert done.returncode == 0, done.stderr
+    header, rule, *rows = done.stdout.splitlines()
+    assert header.split() == ["axiom", "variant", "expected", "result", "samples", "samples/s",
+                              "detail"]
+    assert len(rows) == 26
+    tried = {tuple(row.split()[:2]): int(row.split()[4]) for row in rows}
+    # the default seed refutes the paper doRed at sample 13 and univRed at 45
+    assert tried[("doRed", "paper")] == 14
+    assert tried[("univRed", "paper")] == 46
+    assert tried[("S5U", "sound")] == 50
+    assert all(float(row.split()[5]) > 0 for row in rows)
+
+
+def test_audit_script_rejects_an_audit_of_no_samples():
+    done = _run(["scripts/audit_axioms.py", "--samples", "0"])
+    assert done.returncode == 2
+    assert "sample_count" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_audit_script_fails_when_an_expected_counterexample_is_missed():
     # five samples reach neither pinned counterexample
     done = _run(["scripts/audit_axioms.py", "--samples", "5"])
