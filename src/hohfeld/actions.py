@@ -98,8 +98,10 @@ def require_valid(act: DeonticActionModel) -> DeonticActionModel:
 class ActionModelEnv:
     """Named action models available during evaluation.
 
-    Also memoizes product models per (underlying model, action-model name):
-    the same update requested twice during one evaluation is built once.
+    Also memoizes products per (underlying model, action-model name): the
+    same update requested twice during one evaluation is built once.  Boxes
+    and power verdicts ask for ``semantics.compiled_product`` of a compiled
+    model, so they share one product per environment.
     """
 
     def __init__(self, models: Iterable[DeonticActionModel] = ()):

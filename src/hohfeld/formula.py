@@ -227,7 +227,8 @@ def disj(parts) -> Formula:
 # ---------------------------------------------------------------------------
 # Structure.  For each node class: its operands, and the names it carries,
 # which its constructor takes first.  This is the only place that lists them;
-# only the printer and the evaluator keep rules per node class.
+# only the printer and the evaluator (``semantics._RULES``) keep rules per
+# node class.
 
 _NO_NAMES = lambda f: ()
 

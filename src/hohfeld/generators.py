@@ -39,7 +39,7 @@ from .formula import (
     conj,
     is_static,
 )
-from .model import CompiledModel, CompiledRelations, PrefActionModel
+from .model import CompiledModel, PrefActionModel, view, warshall
 
 AGENT_POOL = ("i", "j", "k", "l", "m", "n")
 ATOM_POOL = ("p", "q", "r", "s", "t", "u1")
@@ -121,12 +121,7 @@ def _preorder_rows(rng: random.Random, n: int) -> list[int] | None:
         for q in range(n):
             if p != q and rng.random() < 0.35:
                 rows[p] |= 1 << q
-    for k in range(n):  # Warshall: after step k, paths through k are shortcut
-        bit = 1 << k
-        for p in range(n):
-            if rows[p] & bit:
-                rows[p] |= rows[k]
-    return rows
+    return warshall(rows)
 
 
 def _partition_rows(rng: random.Random, n: int) -> list[int]:
@@ -162,6 +157,14 @@ def random_model(cfg: GeneratorConfig, rng: random.Random | None = None,
     """
     if rng is None:
         rng = random.Random(cfg.seed)
+    return view(random_compiled_model(cfg, rng, atoms, agents))
+
+
+def random_compiled_model(cfg: GeneratorConfig, rng: random.Random,
+                          atoms: tuple[str, ...] | None = None,
+                          agents: tuple[str, ...] | None = None) -> CompiledModel:
+    """The compiled form of the model ``random_model`` draws, drawn the same
+    way; ``model.view`` of it is that model."""
     states = [f"w{k}" for k in range(rng.randint(1, cfg.max_states))]
     n, full = len(states), (1 << len(states)) - 1
     if agents is None:
@@ -189,17 +192,8 @@ def random_model(cfg: GeneratorConfig, rng: random.Random | None = None,
         else:
             val[atom] = sum(1 << p for p in range(n) if rng.random() < 0.5)
 
-    compiled = CompiledModel(states, frozenset(agents), eq, val,
-                             partial(_drawn_rows, {**pref, **eq}, n))
-    model = PrefActionModel(
-        states=frozenset(states),
-        agents=frozenset(agents),
-        pref=CompiledRelations(compiled, pref),
-        eq=CompiledRelations(compiled, eq),
-        val={atom: compiled.states_of(mask) for atom, mask in val.items()},
-    )
-    model.__dict__["compiled"] = compiled  # what the cached property would hold
-    return model
+    return CompiledModel(states, frozenset(agents), pref, eq, val,
+                         partial(_drawn_rows, {**pref, **eq}, n))
 
 
 def _drawn_rows(drawn: dict, n: int, key: object) -> list[int]:
@@ -226,10 +220,11 @@ def _exclusive_preconditions(atoms: tuple[str, ...], count: int) -> list[Formula
     return out
 
 
-def random_action_model(cfg: GeneratorConfig, model: PrefActionModel,
+def random_action_model(cfg: GeneratorConfig, model: PrefActionModel | CompiledModel,
                         rng: random.Random | None = None,
                         name: str = "A") -> DeonticActionModel:
-    """One random action model over the model's vocabulary."""
+    """One random action model over the vocabulary of a model or of its
+    compiled form, which name the same atoms and agents."""
     if rng is None:
         rng = random.Random(cfg.seed)
     atoms = tuple(sorted(model.val))
@@ -316,18 +311,23 @@ def _random_formula(rng: random.Random, atoms: tuple[str, ...], agents: tuple[st
             return Atom(rng.choice(atoms))
         return TOP if leaf != "bot" else BOT
     node = _draw(rng, kinds)
-    sub = lambda: _random_formula(rng, atoms, agents, depth - 1, kinds, act)
+    depth -= 1  # operands are drawn left to right, after the node's names
     if node in ("box", "dia"):
         wrap = ActBox if node == "box" else act_dia
-        return wrap(act.name, rng.choice(sorted(act.actions)), sub())
+        action = rng.choice(sorted(act.actions))
+        return wrap(act.name, action, _random_formula(rng, atoms, agents, depth, kinds, act))
     if node == "not":
-        return Not(sub())
+        return Not(_random_formula(rng, atoms, agents, depth, kinds, act))
     if node in _BINARY:
-        return _BINARY[node](sub(), sub())
+        left = _random_formula(rng, atoms, agents, depth, kinds, act)
+        return _BINARY[node](left, _random_formula(rng, atoms, agents, depth, kinds, act))
     if node == "pref":
-        return PrefBox(rng.choice(agents), rng.choice(agents), sub())
+        i, j = rng.choice(agents), rng.choice(agents)
+        return PrefBox(i, j, _random_formula(rng, atoms, agents, depth, kinds, act))
     if node == "univ":
-        return Univ(sub())
+        return Univ(_random_formula(rng, atoms, agents, depth, kinds, act))
     if node == "does":
-        return Does(rng.choice(agents), sub())
-    return CondObl(rng.choice(agents), rng.choice(agents), sub(), sub())
+        return Does(rng.choice(agents), _random_formula(rng, atoms, agents, depth, kinds, act))
+    i, j = rng.choice(agents), rng.choice(agents)
+    psi = _random_formula(rng, atoms, agents, depth, kinds, act)
+    return CondObl(i, j, psi, _random_formula(rng, atoms, agents, depth, kinds, act))

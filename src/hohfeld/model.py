@@ -24,17 +24,32 @@ Relation = frozenset[Edge]
 
 
 def closure(edges: Iterable[Edge], states: Iterable[str]) -> Relation:
-    """Reflexive-transitive closure of ``edges`` over ``states`` (Warshall's
-    algorithm: after step ``k``, paths through ``k`` are shortcut)."""
+    """Reflexive-transitive closure of ``edges`` over ``states``; every
+    endpoint must be one of the states."""
     states = list(states)
-    succ: dict[str, set[str]] = {w: {w} for w in states}
+    index = {w: p for p, w in enumerate(states)}
+    rows = [1 << p for p in range(len(states))]
     for a, b in edges:
-        succ[a].add(b)
-    for k in states:
-        for w in states:
-            if k in succ[w]:
-                succ[w] |= succ[k]
-    return frozenset((w, v) for w in states for v in succ[w])
+        rows[index[a]] |= 1 << index[b]
+    pairs = []
+    for w, row in zip(states, warshall(rows)):
+        while row:
+            low = row & -row
+            pairs.append((w, states[low.bit_length() - 1]))
+            row ^= low
+    return frozenset(pairs)
+
+
+def warshall(rows: list[int]) -> list[int]:
+    """Close successor masks under transitivity, in place, and return them
+    (Warshall's algorithm: after step ``k``, paths through ``k`` are
+    shortcut).  Row ``p`` is the successors of bit ``p``."""
+    for k, through in enumerate(rows):
+        bit = 1 << k
+        for p, row in enumerate(rows):
+            if row & bit:
+                rows[p] = row | through
+    return rows
 
 
 def equivalence_closure(edges: Iterable[Edge], states: Iterable[str]) -> Relation:
@@ -94,7 +109,7 @@ class PrefActionModel:
         index = {w: p for p, w in enumerate(names)}
         val = {atom: sum(1 << index[w] for w in ws if w in index) for atom, ws in self.val.items()}
         source = partial(_relation_rows, self.pref, self.eq, index)
-        return CompiledModel(names, self.agents, self.eq, val, source)
+        return CompiledModel(names, self.agents, self.pref, self.eq, val, source)
 
 
 def make_model(
@@ -121,22 +136,26 @@ class CompiledModel:
     product leaves such gaps); ``bits[p]`` is ``1 << p`` at a state and 0 at
     a gap.  A relation is a list of successor masks by position, built by
     ``source(key)`` when first asked for; ``key`` is ``(i, j)`` for
-    ideality and the agent for indistinguishability.  Nothing here refers
-    back to the model, so reference counting alone frees both.
+    ideality and the agent for indistinguishability.  ``pref_keys`` and
+    ``eq_agents`` are the declared relations, in order.  Nothing here
+    refers back to the model, so reference counting alone frees both;
+    ``view`` builds a model over a compiled form.
     """
 
-    __slots__ = ("names", "bits", "full", "index", "agents", "eq_agents", "val",
+    __slots__ = ("names", "bits", "full", "index", "agents", "pref_keys", "eq_agents", "val",
                  "shift", "pre", "_source", "_rows", "__weakref__")
 
     def __init__(self, names: list[str | None], agents: frozenset[str],
-                 eq_agents: Iterable[str], val: dict[str, int],
-                 source: Callable[[object], list[int]], shift: dict[str, int] | None = None):
+                 pref_keys: Iterable[tuple[str, str]], eq_agents: Iterable[str],
+                 val: dict[str, int], source: Callable[[object], list[int]],
+                 shift: dict[str, int] | None = None):
         self.names = names
         self.bits = [0 if w is None else 1 << p for p, w in enumerate(names)]
         self.full = sum(self.bits)
         self.index = {w: p for p, w in enumerate(names) if w is not None}
         self.agents = agents
-        self.eq_agents = frozenset(eq_agents)
+        self.pref_keys = tuple(pref_keys)
+        self.eq_agents = dict.fromkeys(eq_agents)  # ordered, with a set's lookups
         self.val = val
         self.shift = shift or {}  # a product's first bit of each action's pairs
         self.pre: dict[int, tuple] = {}  # id(action model) -> (it, precondition masks)
@@ -175,6 +194,20 @@ class CompiledModel:
         names, rows = self.names, self.rows(key)
         return frozenset((w, names[q]) for w, p in self.index.items()
                          for q in _positions(rows[p]))
+
+
+def view(compiled: CompiledModel) -> PrefActionModel:
+    """The model over a compiled form, whose ``compiled`` it is: states and
+    valuation read off the masks, relations built as state pairs when read."""
+    model = PrefActionModel(
+        states=frozenset(compiled.index),
+        agents=compiled.agents,
+        pref=CompiledRelations(compiled, compiled.pref_keys),
+        eq=CompiledRelations(compiled, compiled.eq_agents),
+        val={atom: compiled.states_of(mask) for atom, mask in compiled.val.items()},
+    )
+    model.__dict__["compiled"] = compiled  # what the cached property would hold
+    return model
 
 
 def _positions(mask: int) -> Iterator[int]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .actions import ActionModelEnv, DeonticActionModel
 from .formula import Atom, Formula
-from .semantics import evaluate, executable, pair_name, product, truth_set
+from .semantics import compiled_product, evaluate, executable, label, pair_name
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,9 @@ def _flipping_actions(model, state, act, position: Formula, env) -> tuple[list[s
     current = evaluate(model, state, position, env)
     flips = _executable_actions(model, state, act, env)
     if flips:  # else the product may be empty
-        after = truth_set(env.product_of(model, act.name, product).model, position, env)
-        flips = [a for a in flips if (pair_name(state, a) in after) != current]
+        after = env.product_of(model.compiled, act.name, compiled_product)
+        holds = label(after, position, env)
+        flips = [a for a in flips if bool(holds >> after.index[pair_name(state, a)] & 1) != current]
     return flips, current
 
 
@@ -107,6 +108,5 @@ def permissible(model, state, act: DeonticActionModel, action: str,
     env = _env_for(act, env)
     if not executable(model, state, act, action, env):
         return False
-    updated = env.product_of(model, act.name, product)
-    return not evaluate(updated.model, pair_name(state, action),
-                        Atom(violation_atom), env)
+    after = env.product_of(model.compiled, act.name, compiled_product)
+    return not label(after, Atom(violation_atom), env) >> after.index[pair_name(state, action)] & 1

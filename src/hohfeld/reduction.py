@@ -59,10 +59,10 @@ from .generators import (
     ATOM_POOL,
     GeneratorConfig,
     random_action_model,
-    random_model,
+    random_compiled_model,
     random_static_formula,
 )
-from .model import PrefActionModel
+from .model import CompiledModel, PrefActionModel, view
 from .modelio import action_model_to_dict, model_to_dict
 from .semantics import _mask, evaluate
 
@@ -195,24 +195,24 @@ class CounterexampleReport:
 def _search(cfg: GeneratorConfig, draw: Callable, **fields) -> CounterexampleReport | None:
     """The first seeded sample whose two sides differ somewhere, or None.
 
-    ``draw(rng)`` gives one sample: a model, the two sides, and the action
-    models they may mention, which get a fresh environment per sample.  Both
-    sides are labelled in one pass, so a subterm they share is labelled
-    once.  The report names the least state where the sides differ, and is
-    re-verified.
+    ``draw(rng)`` gives one sample: a compiled model, the two sides, and
+    the action models they may mention, which get a fresh environment per
+    sample.  Both sides are labelled in one pass, so a subterm they share is
+    labelled once.  Only a sample that is reported gets its model built
+    over the compiled form; the report names the least state where the
+    sides differ, and is re-verified.
     """
     rng = random.Random(cfg.seed)
     for index in range(cfg.sample_count):
-        model, lhs, rhs, acts = draw(rng)
+        compiled, lhs, rhs, acts = draw(rng)
         env = ActionModelEnv(acts)
-        labels = _mask(model, (lhs, rhs), env)
+        labels = _mask(compiled, (lhs, rhs), env)
         left, right = labels[id(lhs)], labels[id(rhs)]
         if left != right:
-            compiled = model.compiled
             w = min(compiled.states_of(left ^ right))
             bit = 1 << compiled.index[w]
             report = CounterexampleReport(
-                lhs=lhs, rhs=rhs, model=model, state=w, lhs_value=bool(left & bit),
+                lhs=lhs, rhs=rhs, model=view(compiled), state=w, lhs_value=bool(left & bit),
                 rhs_value=bool(right & bit), action_model=acts[0] if len(acts) == 1 else None,
                 sample_index=index, **fields)
             if not report.verify(env):
@@ -227,7 +227,7 @@ def check_equivalence(f: Formula, env: ActionModelEnv, variant: str = SOUND_FORM
     translated = translate(f, env, variant)
     acts = [env.get(name) for name in env.names()]
     atoms, agents = _vocabulary(f, acts)
-    return _search(cfg, lambda rng: (random_model(cfg, rng, atoms=atoms, agents=agents),
+    return _search(cfg, lambda rng: (random_compiled_model(cfg, rng, atoms, agents),
                                      f, translated, acts),
                    axiom="translation", variant=variant)
 
@@ -245,16 +245,17 @@ def _vocabulary(f: Formula, acts: list[DeonticActionModel]) -> tuple[tuple[str, 
 
 
 # ---------------------------------------------------------------------------
-# Axiom audits.  Every builder takes (rng, model) and draws names before
-# formulas: the draws are the seeded sample stream, so their order is fixed.
+# Axiom audits.  Every builder takes (rng, model), the model compiled, and
+# draws names before formulas: the draws are the seeded sample stream, so
+# their order is fixed.
 
 
-def _agents(rng: random.Random, model: PrefActionModel, count: int) -> list[str]:
+def _agents(rng: random.Random, model: CompiledModel, count: int) -> list[str]:
     agents = sorted(model.agents)
     return [rng.choice(agents) for _ in range(count)]
 
 
-def _static(rng: random.Random, model: PrefActionModel, depth: int = 3) -> Formula:
+def _static(rng: random.Random, model: CompiledModel, depth: int = 3) -> Formula:
     return random_static_formula(rng, tuple(sorted(model.val)), tuple(sorted(model.agents)), depth)
 
 
@@ -279,11 +280,14 @@ def _box_laws(pick: Callable, s5: bool) -> Callable:
     def build(rng, model):
         box = pick(rng, model)
         phi, psi = _static(rng, model), _static(rng, model)
-        k_axiom = Imp(box(Imp(phi, psi)), Imp(box(phi), box(psi)))
-        t_axiom = Imp(box(phi), phi)
-        four = Imp(box(phi), box(box(phi)))
-        five = Imp(Not(box(phi)), box(Not(box(phi))))
-        return And(And(k_axiom, t_axiom), And(four, five) if s5 else four)
+        boxed = box(phi)  # one node, labelled once wherever the laws use it
+        k_axiom = Imp(box(Imp(phi, psi)), Imp(boxed, box(psi)))
+        t_axiom = Imp(boxed, phi)
+        four = Imp(boxed, box(boxed))
+        if not s5:
+            return And(And(k_axiom, t_axiom), four)
+        unboxed = Not(boxed)
+        return And(And(k_axiom, t_axiom), And(four, Imp(unboxed, box(unboxed))))
     return build
 
 
@@ -356,7 +360,7 @@ def audit_axiom(name: str, cfg: GeneratorConfig = GeneratorConfig(),
         raise ValueError(f"unknown variant {variant!r}")
 
     def draw(rng):
-        model = random_model(cfg, rng)
+        model = random_compiled_model(cfg, rng)
         if name in VALIDITIES:
             return model, VALIDITIES[name](rng, model), TOP, ()
         act = random_action_model(cfg, model, rng)

@@ -36,9 +36,9 @@ from .formula import (
     PrefBox,
     Top,
     Univ,
-    children,
+    _SHAPE,
 )
-from .model import CompiledModel, CompiledRelations, PrefActionModel
+from .model import CompiledModel, PrefActionModel, view
 
 PAIR_SEPARATOR = "*"
 
@@ -64,53 +64,76 @@ def evaluate(model: PrefActionModel, state: str, formula: Formula,
     """
     if state not in model.states:
         raise NameResolutionError(f"state {state!r} not in model")
-    return bool(_mask(model, (formula,), env)[id(formula)] >> model.compiled.index[state] & 1)
+    compiled = model.compiled
+    return bool(label(compiled, formula, env) >> compiled.index[state] & 1)
 
 
 def truth_set(model: PrefActionModel, formula: Formula,
               env: ActionModelEnv | None = None) -> frozenset[str]:
     """All states where the formula holds."""
-    return model.compiled.states_of(_mask(model, (formula,), env)[id(formula)])
+    compiled = model.compiled
+    return compiled.states_of(label(compiled, formula, env))
 
 
-def _mask(model: PrefActionModel, roots: tuple[Formula, ...],
+def label(compiled: CompiledModel, formula: Formula, env: ActionModelEnv | None = None) -> int:
+    """The states of a compiled model where the formula holds, as a bit mask."""
+    return _mask(compiled, (formula,), env)[id(formula)]
+
+
+def _mask(compiled: CompiledModel, roots: tuple[Formula, ...],
           env: ActionModelEnv | None) -> dict[int, int]:
-    """The states of the roots and of every node under them on the model's
-    compiled form, as bit masks by node id; ``[id(root)]`` reads a root's.
+    """The states of the roots and of every node under them on a compiled
+    model, as bit masks by node id; ``[id(root)]`` reads a root's.
 
-    Each node object is labelled once, after its operands, on an explicit
-    stack, whichever roots share it; the roots keep every node alive, so
-    labels are keyed by id.  The roots are labelled in order, so the first
-    one that fails raises.  A dynamic box's operand is its scope on the
-    product, built only if the action is executable somewhere; every box
-    that reaches one product shares that product's labels.
+    One stack holds a node still to visit, or ``(rule, node)`` for a node
+    whose operands are labelled; ``_RULES`` gives each node class its rule
+    and its operands.  Each node object is labelled once, whichever roots
+    share it; the roots keep every node alive, so labels are keyed by id.
+    The roots are labelled in order, so the first one that fails raises.
+
+    A dynamic box's scope is labelled on the product, built only if the
+    action is executable somewhere and with the product's own stack: the
+    outer stack waits in ``waiting`` meanwhile.  Every box that reaches one
+    product shares that product's labels.
     """
-    base = (model, model.compiled, {})  # a model, its compiled form, its labels by node id
-    products: dict[int, tuple] = {}
-    todo: list[tuple] = []
+    labels: dict[int, int] = {}
+    products: dict[int, dict[int, int]] = {}  # id(product) -> its labels
+    waiting: list[tuple] = []  # (compiled, labels, stack) of the models below a box
+    c = compiled
+    todo: list = []
     for f in reversed(roots):  # a loop, not a comprehension: one root costs no call
-        todo.append((base, f, None, None))
-    while todo:
-        here, f, kids, there = todo.pop()
-        if kids is None:
-            if id(f) in here[2]:
+        todo.append(f)
+    while True:
+        while todo:
+            f = todo.pop()
+            if type(f) is tuple:
+                rule, f = f
+                labels[id(f)] = rule(c, labels, f)
                 continue
-            if type(f) is ActBox:
-                kids, there = _box_operands(here, f, env, products)
-            else:
-                kids, there = children(f), here
-            if kids:
-                todo.append((here, f, kids, there))
-                todo += [(there, g, None, None) for g in kids]
-                continue
-        labels = there[2] if kids else None
-        here[2][id(f)] = _label(here[1], f, [labels[id(g)] for g in kids], there)
-    return base[2]
+            rule, operands = _RULES[type(f)]
+            if operands is None:
+                labels[id(f)] = rule(c, labels, f)
+            elif id(f) not in labels:
+                if rule is _act_box:
+                    after = _box_product(c, f, env)
+                    if after is None:  # executable nowhere: the box holds vacuously
+                        labels[id(f)] = c.full
+                        continue
+                    scoped = products.setdefault(id(after), {})
+                    todo.append((partial(_act_box, after, scoped), f))
+                    waiting.append((c, labels, todo))
+                    c, labels, todo = after, scoped, [f.arg]
+                    continue
+                todo.append((rule, f))
+                todo += operands(f)
+        if not waiting:
+            return labels
+        c, labels, todo = waiting.pop()
 
 
-def _box_operands(here: tuple, f: ActBox, env: ActionModelEnv | None, products: dict) -> tuple:
-    """A box's scope and the product it is labelled on; none where the
-    action is executable nowhere."""
+def _box_product(c: CompiledModel, f: ActBox, env: ActionModelEnv | None) -> CompiledModel | None:
+    """The product a box's scope is labelled on; none where the action is
+    executable nowhere."""
     if env is None:
         raise NameResolutionError(
             f"formula mentions action model {f.model!r} but no action models were supplied"
@@ -118,65 +141,74 @@ def _box_operands(here: tuple, f: ActBox, env: ActionModelEnv | None, products: 
     act = env.get(f.model)
     if f.action not in act.actions:
         raise NameResolutionError(f"action {f.action!r} not in action model {act.name!r}")
-    if not _precondition(here[0], act, f.action):
-        return (), None
-    after = env.product_of(here[0], f.model, product).model
-    return (f.arg,), products.setdefault(id(after), (after, after.compiled, {}))
+    if not _precondition(c, act, f.action):
+        return None
+    return env.product_of(c, f.model, compiled_product)
 
 
-def _precondition(model: PrefActionModel, act: DeonticActionModel, action: str) -> int:
+def _precondition(c: CompiledModel, act: DeonticActionModel, action: str) -> int:
     """Where the action is executable, labelled once per (model, action
     model) and without action models, as preconditions are static."""
-    compiled = model.compiled
-    hit = compiled.pre.get(id(act))
+    hit = c.pre.get(id(act))
     if hit is None:  # the entry pins ``act``, so its id is not reused
-        hit = compiled.pre[id(act)] = (act, {})
+        hit = c.pre[id(act)] = (act, {})
     masks = hit[1]
     mask = masks.get(action)
     if mask is None:
-        pre = act.pre[action]
-        mask = masks[action] = _mask(model, (pre,), None)[id(pre)]
+        mask = masks[action] = label(c, act.pre[action])
     return mask
 
 
-def _label(c: CompiledModel, f: Formula, args: list, there: tuple | None) -> int:
+# ---------------------------------------------------------------------------
+# Labelling rules.  ``_RULES`` gives each node class of ``formula._SHAPE``
+# its rule, ``rule(compiled, labels, node)``, which reads its operands'
+# labels by id, and the class's operand getter from ``_SHAPE``, or None for
+# a leaf, which is labelled as soon as it is met.
+
+def _atom(c: CompiledModel, labels: dict, f: Atom) -> int:
+    states = c.val.get(f.name)
+    if states is None:
+        raise NameResolutionError(f"atom {f.name!r} not in model vocabulary")
+    return states
+
+
+def _sees_none(bits: list[int], rows: list[int], mask: int) -> int:
+    """The states none of whose successors is in ``mask``."""
+    return sum([b for b, succ in zip(bits, rows) if not succ & mask])
+
+
+def _cond_obl(c: CompiledModel, labels: dict, f: CondObl) -> int:
+    # the phi-states with a witness, those without, and who sees none of those
+    bits, rows = c.bits, c.pref(f.i, f.j)
+    psi, phi = labels[id(f.consequent)], labels[id(f.condition)]
+    fails = phi & ~psi
+    witnesses = sum([b for b, succ in zip(bits, rows) if b & phi and not succ & fails])
+    unwitnessed = sum([b for b, succ in zip(bits, rows) if b & phi and not succ & witnesses])
+    return _sees_none(bits, rows, unwitnessed)
+
+
+def _act_box(after: CompiledModel, scoped: dict, c: CompiledModel, labels: dict, f: ActBox) -> int:
+    # false where the pair-state w*a exists and the scope fails there, as
+    # labelled on the product ``after``
     full = c.full
-    kind = type(f)
-    if kind is Atom:
-        states = c.val.get(f.name)
-        if states is None:
-            raise NameResolutionError(f"atom {f.name!r} not in model vocabulary")
-        return states
-    if kind is Imp:
-        return (full ^ args[0]) | args[1]
-    if kind is And:
-        return args[0] & args[1]
-    if kind is Not:
-        return full ^ args[0]
-    if kind is Top:
-        return full
-    if kind is Or:
-        return args[0] | args[1]
-    if kind is Iff:
-        return full ^ args[0] ^ args[1]
-    if kind is Bot:
-        return 0
-    if kind is Univ:
-        return full if args[0] == full else 0
-    if kind is ActBox:  # false where the pair-state w*a exists and the scope fails
-        if there is None:
-            return full
-        after = there[1]
-        return full ^ ((after.full ^ args[0]) >> after.shift[f.action] & full)
-    bits, rows = c.bits, c.eq(f.agent) if kind is Does else c.pref(f.i, f.j)
-    if kind is CondObl:  # the phi-states with a witness, those without, who sees none
-        psi, phi = args
-        fails = phi & ~psi
-        witnesses = sum(b for b, succ in zip(bits, rows) if b & phi and not succ & fails)
-        unwitnessed = sum(b for b, succ in zip(bits, rows) if b & phi and not succ & witnesses)
-        return sum(b for b, succ in zip(bits, rows) if not succ & unwitnessed)
-    fails = full ^ args[0]
-    return sum(b for b, succ in zip(bits, rows) if not succ & fails)
+    return full ^ ((after.full ^ scoped[id(f.arg)]) >> after.shift[f.action] & full)
+
+
+_RULES = {cls: (rule, None if cls in (Atom, Top, Bot) else _SHAPE[cls][0]) for cls, rule in {
+    Atom: _atom,
+    Top: lambda c, labels, f: c.full,
+    Bot: lambda c, labels, f: 0,
+    Not: lambda c, labels, f: c.full ^ labels[id(f.arg)],
+    And: lambda c, labels, f: labels[id(f.left)] & labels[id(f.right)],
+    Or: lambda c, labels, f: labels[id(f.left)] | labels[id(f.right)],
+    Imp: lambda c, labels, f: (c.full ^ labels[id(f.left)]) | labels[id(f.right)],
+    Iff: lambda c, labels, f: c.full ^ labels[id(f.left)] ^ labels[id(f.right)],
+    Univ: lambda c, labels, f: c.full if labels[id(f.arg)] == c.full else 0,
+    PrefBox: lambda c, labels, f: _sees_none(c.bits, c.pref(f.i, f.j), c.full ^ labels[id(f.arg)]),
+    Does: lambda c, labels, f: _sees_none(c.bits, c.eq(f.agent), c.full ^ labels[id(f.arg)]),
+    CondObl: _cond_obl,
+    ActBox: _act_box,  # met by ``_mask`` before its rule, which takes the product first
+}.items()}
 
 
 def executable(model: PrefActionModel, state: str, act: DeonticActionModel,
@@ -190,7 +222,8 @@ def executable(model: PrefActionModel, state: str, act: DeonticActionModel,
         raise NameResolutionError(f"action {action!r} not in action model {act.name!r}")
     if state not in model.states:
         raise NameResolutionError(f"state {state!r} not in model")
-    return bool(_precondition(model, act, action) >> model.compiled.index[state] & 1)
+    compiled = model.compiled
+    return bool(_precondition(compiled, act, action) >> compiled.index[state] & 1)
 
 
 def product(model: PrefActionModel, act: DeonticActionModel) -> UpdatedModel:
@@ -202,10 +235,27 @@ def product(model: PrefActionModel, act: DeonticActionModel) -> UpdatedModel:
     total on the action model); leaving them implicit would corrupt them,
     since the product of those defaults is not the identity.
 
-    The product is compiled as it is built: pair ``(w, a)`` is bit
-    ``k * n + p``, for ``a`` the ``k``-th action in sorted order and ``w``
-    at bit ``p`` of the model's ``n``.  Its relations are built as masks
-    row by row when first labelled, and as ``frozenset``s when first read.
+    This is ``compiled_product`` with the model over it and the origin of
+    each pair-state, in sorted state order, then sorted action order.
+    """
+    base = model.compiled
+    after = compiled_product(base, act)
+    provenance = {}
+    for w in sorted(base.index):
+        p = base.index[w]
+        for a, k in after.shift.items():
+            name = after.names[k + p]
+            if name is not None:
+                provenance[name] = (w, a)
+    return UpdatedModel(model=view(after), provenance=provenance)
+
+
+def compiled_product(base: CompiledModel, act: DeonticActionModel) -> CompiledModel:
+    """The compiled form of ``product``, from the model's compiled form.
+
+    Pair ``(w, a)`` is bit ``k * n + p``, for ``a`` the ``k``-th action in
+    sorted order and ``w`` at bit ``p`` of the model's ``n``.  Its relations
+    are built as masks row by row when first labelled.
     """
     for action in sorted(act.actions):
         if PAIR_SEPARATOR in action:
@@ -216,49 +266,37 @@ def product(model: PrefActionModel, act: DeonticActionModel) -> UpdatedModel:
             raise ModelFormatError(f"action {action!r} has no precondition")
     for action, assign in sorted(act.post.items()):
         for atom in sorted(assign):
-            if atom not in model.val:
+            if atom not in base.val:
                 raise NameResolutionError(
                     f"postcondition of {action!r} targets atom {atom!r} "
                     "outside the model vocabulary"
                 )
 
-    base = model.compiled
     width = len(base.names)
     shift = {a: k * width for k, a in enumerate(sorted(act.actions))}
-    pre = {a: _precondition(model, act, a) for a in shift}
-    names: list[str | None] = [None] * (width * len(shift))
-    provenance = {}
-    for w in sorted(model.states):
-        p = base.index[w]
-        for a, k in shift.items():
-            if pre[a] >> p & 1:
-                name = names[k + p] = pair_name(w, a)
-                provenance[name] = (w, a)
-    if not provenance:
+    pre = {a: _precondition(base, act, a) for a in shift}
+    if not any(pre.values()):
         raise EmptyProductError(
             f"no action of {act.name!r} is executable anywhere in the model"
         )
+    names: list[str | None] = [None] * (width * len(shift))
+    for p, w in enumerate(base.names):
+        for a, k in shift.items():
+            if pre[a] >> p & 1:
+                names[k + p] = pair_name(w, a)
 
     val = {}
-    for atom in sorted(model.val):
+    for atom in sorted(base.val):
         val[atom] = 0
         for a, k in shift.items():
             if pre[a]:
                 post = act.post_formula(a, atom)
-                after = base.val[atom] if post is None else _mask(model, (post,), None)[id(post)]
+                after = base.val[atom] if post is None else label(base, post)
                 val[atom] |= (after & pre[a]) << k
-    compiled = CompiledModel(names, model.agents, model.eq, val,
-                             partial(_lex_rows, base, act.rel, pre, shift), shift)
-    agents = sorted(model.agents)
-    updated = PrefActionModel(
-        states=frozenset(provenance),
-        agents=model.agents,
-        pref=CompiledRelations(compiled, [(i, j) for i in agents for j in agents]),
-        eq=CompiledRelations(compiled, sorted(model.eq)),
-        val={atom: compiled.states_of(mask) for atom, mask in val.items()},
-    )
-    updated.__dict__["compiled"] = compiled  # what the cached property would hold
-    return UpdatedModel(model=updated, provenance=provenance)
+    agents = sorted(base.agents)
+    return CompiledModel(names, base.agents, [(i, j) for i in agents for j in agents],
+                         sorted(base.eq_agents), val,
+                         partial(_lex_rows, base, act.rel, pre, shift), shift)
 
 
 def _lex_rows(base: CompiledModel, rel: Mapping, pre: dict[str, int], shift: dict[str, int],

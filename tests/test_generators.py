@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from hohfeld.actions import validate_action_model
+from hohfeld.actions import ActionModelEnv, make_action_model, validate_action_model
 from hohfeld.errors import ConfigError, HohfeldError
 from hohfeld.formula import ActBox, Atom, is_static, subformulas
 from hohfeld.generators import (
@@ -23,8 +23,10 @@ from hohfeld.generators import (
 )
 from hohfeld.model import make_model, validate
 from hohfeld.modelio import dumps_action_model, dumps_model, model_from_dict, model_to_dict
-from hohfeld.reduction import AXIOMS, VARIANTS, audit_axiom
+from hohfeld.parser import parse
+from hohfeld.reduction import AXIOMS, VARIANTS, audit_axiom, check_equivalence
 from hohfeld.semantics import evaluate
+import hohfeld.scenarios as scenarios
 
 
 def test_config_defaults():
@@ -93,6 +95,36 @@ def test_audit_reports_are_pinned():
                 text = "none" if report is None else json.dumps(report.to_json_dict(), sort_keys=True)
                 digest.update(f"{name} {variant} {text}\n".encode())
     assert digest.hexdigest() == AUDIT_DIGEST
+
+
+# computed before audits and equivalence checks drew compiled models only
+EQUIVALENCE_DIGEST = "8808f0b0bafceb4c815e56a0bf5ad5916807886538e7d96a058b3ed543f55e16"
+
+
+def test_equivalence_reports_are_pinned():
+    # eight dynamic formulas in both variants at seeds 0-2, 40 samples of at
+    # most 4 states; the paper variant falls on the U and do boxes
+    toggle = make_action_model(
+        name="B", owner="x", actions=["a", "b"], rel={},
+        pre={"a": parse("true"), "b": parse("true")},
+        post={"a": {"p": parse("true")}, "b": {"p": parse("false")}},
+    )
+    toggles = ActionModelEnv([toggle])
+    bundle = ActionModelEnv([scenarios.john_action_model(), scenarios.mary_action_model()])
+    cases = [(toggles, text) for text in (
+        "[act B a] U p", "[act B a] do i p", "[act B b] [pref i j] !p")] + [
+        (bundle, text) for text in (
+            "[act John a1] U f", "[act Mary b1] do i d", "[act John a1] O i c (f / true)",
+            "[act John a1] [act Mary b1] !f", "[act Mary b2] [pref i c] (d | f)")]
+    digest = hashlib.sha256()
+    for seed in range(3):
+        cfg = GeneratorConfig(seed=seed, sample_count=40, max_states=4)
+        for env, text in cases:
+            for variant in VARIANTS:
+                report = check_equivalence(parse(text), env, variant, cfg)
+                out = "none" if report is None else json.dumps(report.to_json_dict(), sort_keys=True)
+                digest.update(f"{text} {variant} {out}\n".encode())
+    assert digest.hexdigest() == EQUIVALENCE_DIGEST
 
 
 def test_random_models_come_compiled_and_read_as_their_relations():

@@ -29,11 +29,12 @@ from hohfeld.formula import (
     PrefBox,
     Top,
     Univ,
+    _SHAPE,
 )
 from hohfeld.generators import GeneratorConfig, random_model
 from hohfeld.model import closure
 from hohfeld.parser import parse
-from hohfeld.semantics import _mask, pair_name, product, truth_set
+from hohfeld.semantics import _RULES, _mask, pair_name, product, truth_set
 import hohfeld.scenarios as scenarios
 
 from conftest import formulas, static_formulas
@@ -173,10 +174,10 @@ def test_one_multi_root_call_labels_as_separate_truth_set_calls(f, g, seed, narr
     errors = [r for r in expected if type(r) is tuple]
     if errors:  # the roots are labelled in order, so the first failing one raises
         with pytest.raises(errors[0][0]) as caught:
-            _mask(model, roots, _env(nowhere))
+            _mask(model.compiled, roots, _env(nowhere))
         assert str(caught.value) == errors[0][1]
     else:
-        labels = _mask(model, roots, _env(nowhere))
+        labels = _mask(model.compiled, roots, _env(nowhere))
         assert [model.compiled.states_of(labels[id(r)]) for r in roots] == expected
 
 
@@ -186,7 +187,7 @@ def test_multi_root_boxes_over_an_action_executable_nowhere_hold_vacuously():
         product(model, env.get("A"))
     scope = Atom("p")
     roots = (ActBox("A", "a1", scope), Not(ActBox("A", "a2", scope)), scope)
-    labels = _mask(model, roots, env)
+    labels = _mask(model.compiled, roots, env)
     assert [labels[id(r)] for r in roots] == [model.compiled.full, 0, model.compiled.val["p"]]
 
 
@@ -194,4 +195,11 @@ def test_multi_root_call_raises_what_the_first_failing_root_raises():
     model = _model(5)
     roots = (Atom("p"), PrefBox("i", "nobody", Atom("p")), Atom("nothing"))
     with pytest.raises(NameResolutionError, match="nobody"):
-        _mask(model, roots, None)
+        _mask(model.compiled, roots, None)
+
+
+def test_every_node_class_has_exactly_one_labelling_rule():
+    assert set(_RULES) == set(_SHAPE)
+    for cls, (rule, operands) in _RULES.items():
+        assert callable(rule)
+        assert operands is None or operands is _SHAPE[cls][0]

@@ -71,6 +71,15 @@ def test_closure_is_a_preorder_extending_input(edges):
     assert closure(rel, STATES) == rel
 
 
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.permutations([f"s{k}" for k in range(n)]),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))))
+def test_closure_matches_the_naive_oracle_in_any_state_order(case):
+    states, pairs = case
+    edges = [(states[a], states[b]) for a, b in pairs]
+    assert closure(edges, states) == naive_closure(edges, states)
+
+
 @given(edge_sets)
 def test_equivalence_closure_is_symmetric(edges):
     rel = equivalence_closure(edges, STATES)

@@ -22,10 +22,12 @@ from hohfeld.formula import (
     unfold_head,
 )
 from hohfeld.generators import GeneratorConfig
-from hohfeld.model import blocks_to_relation, closure, make_model
+from hohfeld.model import blocks_to_relation, closure, make_model, validate
+from hohfeld.modelio import model_from_dict, model_to_dict
 from hohfeld.parser import parse
 from hohfeld.reduction import (
     AXIOMS,
+    PAPER_ERRATA,
     PAPER_FORM,
     SOUND_FORM,
     VARIANTS,
@@ -281,6 +283,36 @@ def test_paper_form_quantifier_rules_are_refuted(name):
         "lhsValue", "rhsValue", "model", "actionModel",
     }
     assert payload["lhsValue"] != payload["rhsValue"]
+
+
+def _assert_full_public_model(report, env=None):
+    # audits draw compiled models only; a reported sample gets its model
+    # built, and a copy loaded from its dump must show the same disagreement
+    model = report.model
+    assert validate(model).ok
+    reloaded = model_from_dict(model_to_dict(model))
+    assert reloaded == model
+    assert model_to_dict(reloaded) == model_to_dict(model)
+    assert report.verify(env)
+    assert report.verify()
+    env = env or ActionModelEnv([report.action_model])
+    assert evaluate(reloaded, report.state, report.lhs, env) == report.lhs_value
+    assert evaluate(reloaded, report.state, report.rhs, env) == report.rhs_value
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_ERRATA))
+def test_an_audit_reports_a_full_public_model(name):
+    report = audit_axiom(name, GeneratorConfig(max_states=4), PAPER_FORM)
+    assert report is not None
+    _assert_full_public_model(report)
+
+
+def test_an_equivalence_check_reports_a_full_public_model():
+    env = _env(_toggle_actions())
+    report = check_equivalence(parse("[act B a] do i p"), env, PAPER_FORM,
+                               GeneratorConfig(seed=3, sample_count=40))
+    assert report is not None and report.action_model is not None
+    _assert_full_public_model(report, env)
 
 
 def test_audit_rejects_unknown_names_and_variants():
