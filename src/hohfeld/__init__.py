@@ -63,7 +63,6 @@ from .model import (
     Violation,
     blocks_to_relation,
     closure,
-    equivalence_closure,
     make_model,
     relation_to_blocks,
     validate,
@@ -88,6 +87,7 @@ from .positions import (
     local_power,
     no_power,
     permissible,
+    verdict,
 )
 from .reduction import (
     AXIOMS,

@@ -25,12 +25,16 @@ class DeonticActionModel:
     pre: Mapping[str, Formula]
     post: Mapping[str, Mapping[str, Formula]]
 
-    def le(self, i: str, j: str, a: str, b: str) -> bool:
-        """Is ``b`` at least as effective as ``a`` for the pair?  Total when undeclared."""
+    def ranks(self, i: str, j: str, a: str) -> tuple[list[str], list[str]]:
+        """The actions strictly more effective than ``a`` for the pair, and
+        those exactly as effective (``a`` among them), each in sorted order.
+        An undeclared pair is total: every action is as effective as ``a``."""
+        actions = sorted(self.actions)
         rel = self.rel.get((i, j))
         if rel is None:
-            return True
-        return (a, b) in rel
+            return [], actions
+        above = [b for b in actions if (a, b) in rel]
+        return [b for b in above if (b, a) not in rel], [b for b in above if (b, a) in rel]
 
     def post_formula(self, action: str, atom: str) -> Formula | None:
         """The assigned postcondition, or None when the atom is untouched."""
@@ -99,8 +103,8 @@ class ActionModelEnv:
     """Named action models available during evaluation.
 
     Also memoizes products per (underlying model, action-model name): the
-    same update requested twice during one evaluation is built once.  Boxes
-    and power verdicts ask for ``semantics.compiled_product`` of a compiled
+    same update requested twice during one evaluation is built once.  Boxes,
+    power verdicts' too, ask for ``semantics.compiled_product`` of a compiled
     model, so they share one product per environment.
     """
 

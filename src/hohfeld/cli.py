@@ -21,14 +21,7 @@ from .modelio import (
     load_model_file,
 )
 from .parser import parse
-from .positions import (
-    global_immunity,
-    global_power,
-    liability,
-    local_immunity,
-    local_power,
-    no_power,
-)
+from .positions import verdict
 from .reduction import AXIOMS, PAPER_ERRATA, PAPER_FORM, SOUND_FORM, audit_axiom, translate
 from .scenarios import BUNDLES, run_scenario
 from .semantics import evaluate, product, truth_set
@@ -137,25 +130,8 @@ def _cmd_update(args) -> int:
 def _cmd_power(args) -> int:
     model = load_model_file(args.model)
     act = load_action_model_file(args.actions)
-    position = parse(args.position)
-    env = ActionModelEnv([act])
-    key = (args.kind, args.scope)
-    if key == ("power", "global"):
-        verdict = global_power(model, args.state, act, env)
-    elif key == ("immunity", "global"):
-        verdict = global_immunity(model, args.state, act, env)
-    elif key == ("power", "local"):
-        verdict = local_power(model, args.state, act, position, env)
-    elif key == ("immunity", "local"):
-        verdict = local_immunity(model, args.state, act, position, env)
-    elif key == ("liability", "global"):
-        verdict = liability(model, args.state, act, env)
-    elif key == ("nopower", "global"):
-        verdict = no_power(model, args.state, act, env)
-    else:
-        print(f"{args.kind} is defined for global scope only", file=sys.stderr)
-        return EXIT_INPUT
-    print(json.dumps(verdict.to_json_dict(), indent=2))
+    result = verdict(args.kind, args.scope, model, args.state, act, parse(args.position))
+    print(json.dumps(result.to_json_dict(), indent=2))
     return EXIT_OK
 
 

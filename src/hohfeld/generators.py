@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 
 from .actions import DeonticActionModel
@@ -192,14 +191,7 @@ def random_compiled_model(cfg: GeneratorConfig, rng: random.Random,
         else:
             val[atom] = sum(1 << p for p in range(n) if rng.random() < 0.5)
 
-    return CompiledModel(states, frozenset(agents), pref, eq, val,
-                         partial(_drawn_rows, {**pref, **eq}, n))
-
-
-def _drawn_rows(drawn: dict, n: int, key: object) -> list[int]:
-    """A drawn relation's successor masks; an undeclared pair's is the identity."""
-    rows = drawn.get(key)
-    return [1 << p for p in range(n)] if rows is None else rows
+    return CompiledModel(states, frozenset(agents), pref, eq, val, {**pref, **eq}.get)
 
 
 def _exclusive_preconditions(atoms: tuple[str, ...], count: int) -> list[Formula]:

@@ -52,15 +52,6 @@ def warshall(rows: list[int]) -> list[int]:
     return rows
 
 
-def equivalence_closure(edges: Iterable[Edge], states: Iterable[str]) -> Relation:
-    """Reflexive-symmetric-transitive closure of ``edges`` over ``states``."""
-    sym = set()
-    for a, b in edges:
-        sym.add((a, b))
-        sym.add((b, a))
-    return closure(sym, states)
-
-
 def blocks_to_relation(blocks: Iterable[Iterable[str]]) -> Relation:
     """Total relation inside each block, nothing across blocks."""
     edges = set()
@@ -96,7 +87,7 @@ class PrefActionModel:
     def ideality(self, i: str, j: str) -> Relation:
         """The ideality preorder of ``i`` toward ``j``; an undeclared pair means the identity."""
         rel = self.pref.get((i, j))
-        return frozenset((w, w) for w in self.states) if rel is None else rel
+        return self.compiled.relation((i, j)) if rel is None else rel
 
     @cached_property
     def compiled(self) -> CompiledModel:
@@ -136,10 +127,11 @@ class CompiledModel:
     product leaves such gaps); ``bits[p]`` is ``1 << p`` at a state and 0 at
     a gap.  A relation is a list of successor masks by position, built by
     ``source(key)`` when first asked for; ``key`` is ``(i, j)`` for
-    ideality and the agent for indistinguishability.  ``pref_keys`` and
-    ``eq_agents`` are the declared relations, in order.  Nothing here
-    refers back to the model, so reference counting alone frees both;
-    ``view`` builds a model over a compiled form.
+    ideality and the agent for indistinguishability.  A source returns None
+    for an undeclared pair, which ``rows`` reads as the identity.
+    ``pref_keys`` and ``eq_agents`` are the declared relations, in order.
+    Nothing here refers back to the model, so reference counting alone
+    frees both; ``view`` builds a model over a compiled form.
     """
 
     __slots__ = ("names", "bits", "full", "index", "agents", "pref_keys", "eq_agents", "val",
@@ -147,7 +139,7 @@ class CompiledModel:
 
     def __init__(self, names: list[str | None], agents: frozenset[str],
                  pref_keys: Iterable[tuple[str, str]], eq_agents: Iterable[str],
-                 val: dict[str, int], source: Callable[[object], list[int]],
+                 val: dict[str, int], source: Callable[[object], list[int] | None],
                  shift: dict[str, int] | None = None):
         self.names = names
         self.bits = [0 if w is None else 1 << p for p, w in enumerate(names)]
@@ -181,8 +173,8 @@ class CompiledModel:
 
     def rows(self, key: object) -> list[int]:
         rows = self._rows.get(key)
-        if rows is None:
-            rows = self._rows[key] = self._source(key)
+        if rows is None:  # a source gives None for an undeclared pair: the identity
+            rows = self._rows[key] = self._source(key) or list(self.bits)
         return rows
 
     def states_of(self, mask: int) -> frozenset[str]:
@@ -218,10 +210,11 @@ def _positions(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _relation_rows(pref: Mapping, eq: Mapping, index: dict[str, int], key: object) -> list[int]:
+def _relation_rows(pref: Mapping, eq: Mapping, index: dict[str, int],
+                   key: object) -> list[int] | None:
     rel = pref.get(key) if type(key) is tuple else eq[key]
-    if rel is None:  # an undeclared pair: the identity
-        return [1 << p for p in range(len(index))]
+    if rel is None:
+        return None
     rows = [0] * len(index)
     for a, b in rel:
         if a in index and b in index:

@@ -39,7 +39,7 @@ from .model import (
     closure,
     relation_to_blocks,
 )
-from .parser import parse
+from .parser import is_name, parse
 
 
 def _require(value: Any, kind: type, what: str):
@@ -53,6 +53,21 @@ def _string_list(value: Any, what: str) -> list[str]:
     for item in value:
         _require(item, str, f"entry of {what}")
     return value
+
+
+def _unique(value: Any, what: str) -> list[str]:
+    items = _string_list(value, what)
+    if len(set(items)) < len(items):
+        twice = next(x for k, x in enumerate(items) if x in items[:k])
+        raise ModelFormatError(f"{what} lists {twice!r} more than once")
+    return items
+
+
+def _require_names(names: list[str]) -> None:
+    """Atom, agent, action and action-model names are what formulas can write."""
+    for name in names:
+        if not is_name(name):
+            raise ModelFormatError(f"name {name!r} is not an identifier formulas can use")
 
 
 def _parse_pair_key(key: str, what: str) -> tuple[str, str]:
@@ -91,10 +106,10 @@ def _load_relation(entry: Any, members: frozenset[str], what: str) -> Relation:
 
 def model_from_dict(data: Any) -> PrefActionModel:
     _require(data, dict, "model")
-    states = frozenset(_string_list(data.get("states"), "states"))
+    states = frozenset(_unique(data.get("states"), "states"))
     if not states:
         raise ModelFormatError("states must be nonempty")
-    agents = frozenset(_string_list(data.get("agents"), "agents"))
+    agents = frozenset(_unique(data.get("agents"), "agents"))
 
     pref = {}
     for key, entry in _require(data.get("pref", {}), dict, "pref").items():
@@ -131,6 +146,7 @@ def model_from_dict(data: Any) -> PrefActionModel:
                 raise ModelFormatError(f"val {atom} mentions unknown state {w!r}")
         val[atom] = frozenset(members)
 
+    _require_names([*data["agents"], *val])
     return PrefActionModel(states=states, agents=agents, pref=pref, eq=eq, val=val)
 
 
@@ -162,7 +178,7 @@ def action_model_from_dict(data: Any) -> DeonticActionModel:
     _require(data, dict, "action model")
     name = _require(data.get("name"), str, "name")
     owner = _require(data.get("owner"), str, "owner")
-    actions = frozenset(_string_list(data.get("actions"), "actions"))
+    actions = frozenset(_unique(data.get("actions"), "actions"))
 
     rel = {}
     for key, entry in _require(data.get("rel", {}), dict, "rel").items():
@@ -181,9 +197,13 @@ def action_model_from_dict(data: Any) -> DeonticActionModel:
             for atom, text in assign.items()
         }
 
-    return require_valid(DeonticActionModel(
+    act = require_valid(DeonticActionModel(
         name=name, owner=owner, actions=actions, rel=rel, pre=pre, post=post
     ))
+    # after validation, which reports an action's '*' as reserved
+    _require_names([name, *data["actions"], *(i for pair in rel for i in pair), *(
+        atom for assign in post.values() for atom in assign)])
+    return act
 
 
 def action_model_to_dict(act: DeonticActionModel) -> dict:

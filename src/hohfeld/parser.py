@@ -60,6 +60,12 @@ _TOKEN_RE = re.compile(
 )
 
 
+def is_name(text: str) -> bool:
+    """Does ``text`` read back as one name: an identifier token, not a keyword?"""
+    match = _TOKEN_RE.fullmatch(text)
+    return match is not None and match.lastgroup == "ident" and text not in KEYWORDS
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     """(kind, text, line, column) per token, "op", "ident" or "end"."""
     tokens = []

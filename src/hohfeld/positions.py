@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import ActionModelEnv, DeonticActionModel
-from .formula import Atom, Formula
-from .semantics import compiled_product, evaluate, executable, label, pair_name
+from .errors import NameResolutionError
+from .formula import ActBox, Atom, Formula
+from .semantics import executable, truths
 
 
 @dataclass(frozen=True)
@@ -38,75 +39,88 @@ class PositionVerdict:
         return out
 
 
-def _env_for(act: DeonticActionModel, env: ActionModelEnv | None) -> ActionModelEnv:
+# (kind, scope) -> (the verdict's kind, whether it holds when some action is a
+# witness: an executable one, for local scope one that flips the position).
+VERDICTS = {
+    ("power", "global"): ("power", True),
+    ("immunity", "global"): ("immunity", False),
+    ("liability", "global"): ("liability", True),
+    ("nopower", "global"): ("noPower", False),
+    ("power", "local"): ("power", True),
+    ("immunity", "local"): ("immunity", False),
+}
+
+
+def verdict(kind: str, scope: str, model, state: str, act: DeonticActionModel,
+            position: Formula | None = None,
+            env: ActionModelEnv | None = None) -> PositionVerdict:
+    """The ``VERDICTS`` entry ``(kind, scope)`` at the state; local scope
+    needs the position, whose truth after an action ``a`` is that of
+    ``[act A a] position``.  ``env``, if given, must map ``act.name`` to ``act``."""
+    if (kind, scope) not in VERDICTS:
+        scopes = [s for k, s in VERDICTS if k == kind]
+        raise NameResolutionError(f"{kind} is defined for {' and '.join(scopes)} scope only"
+                                  if scopes else f"unknown verdict kind {kind!r}")
+    name, on_witness = VERDICTS[kind, scope]
+    env = _checked_env(act, env)
+    witnesses = [a for a in sorted(act.actions) if executable(model, state, act, a)]
+    current = None
+    if scope == "local":
+        current, *after = truths(model, state, (position, *(
+            ActBox(act.name, a, position) for a in witnesses)), env)
+        witnesses = [a for a, t in zip(witnesses, after) if t != current]
+    return PositionVerdict(name, scope, bool(witnesses) == on_witness, tuple(witnesses), current)
+
+
+def _checked_env(act: DeonticActionModel, env: ActionModelEnv | None) -> ActionModelEnv:
+    if env is not None and env.get(act.name) is not act:
+        raise NameResolutionError(f"the environment maps {act.name!r} to another action model")
     return env if env is not None else ActionModelEnv([act])
-
-
-def _executable_actions(model, state, act, env) -> list[str]:
-    return [a for a in sorted(act.actions) if executable(model, state, act, a, env)]
 
 
 def global_power(model, state, act: DeonticActionModel,
                  env: ActionModelEnv | None = None) -> PositionVerdict:
     """Some action is executable at the state."""
-    env = _env_for(act, env)
-    witnesses = tuple(_executable_actions(model, state, act, env))
-    return PositionVerdict("power", "global", bool(witnesses), witnesses)
+    return verdict("power", "global", model, state, act, env=env)
 
 
 def global_immunity(model, state, act: DeonticActionModel,
                     env: ActionModelEnv | None = None) -> PositionVerdict:
     """No action is executable at the state."""
-    env = _env_for(act, env)
-    defeaters = tuple(_executable_actions(model, state, act, env))
-    return PositionVerdict("immunity", "global", not defeaters, defeaters)
+    return verdict("immunity", "global", model, state, act, env=env)
 
 
 def liability(model, state, act: DeonticActionModel,
               env: ActionModelEnv | None = None) -> PositionVerdict:
     """The counterparty's exposure: same test as global power."""
-    inner = global_power(model, state, act, env)
-    return PositionVerdict("liability", "global", inner.holds, inner.witnesses)
+    return verdict("liability", "global", model, state, act, env=env)
 
 
 def no_power(model, state, act: DeonticActionModel,
              env: ActionModelEnv | None = None) -> PositionVerdict:
     """The counterparty's disability: same test as global immunity."""
-    inner = global_immunity(model, state, act, env)
-    return PositionVerdict("noPower", "global", inner.holds, inner.witnesses)
-
-
-def _flipping_actions(model, state, act, position: Formula, env) -> tuple[list[str], bool]:
-    env = _env_for(act, env)
-    current = evaluate(model, state, position, env)
-    flips = _executable_actions(model, state, act, env)
-    if flips:  # else the product may be empty
-        after = env.product_of(model.compiled, act.name, compiled_product)
-        holds = label(after, position, env)
-        flips = [a for a in flips if bool(holds >> after.index[pair_name(state, a)] & 1) != current]
-    return flips, current
+    return verdict("nopower", "global", model, state, act, env=env)
 
 
 def local_power(model, state, act: DeonticActionModel, position: Formula,
                 env: ActionModelEnv | None = None) -> PositionVerdict:
     """Some executable action flips the truth value of the position."""
-    flips, current = _flipping_actions(model, state, act, position, env)
-    return PositionVerdict("power", "local", bool(flips), tuple(flips), current)
+    return verdict("power", "local", model, state, act, position, env)
 
 
 def local_immunity(model, state, act: DeonticActionModel, position: Formula,
                    env: ActionModelEnv | None = None) -> PositionVerdict:
     """No executable action can flip the truth value of the position."""
-    flips, current = _flipping_actions(model, state, act, position, env)
-    return PositionVerdict("immunity", "local", not flips, tuple(flips), current)
+    return verdict("immunity", "local", model, state, act, position, env)
 
 
 def permissible(model, state, act: DeonticActionModel, action: str,
                 violation_atom: str = "V",
                 env: ActionModelEnv | None = None) -> bool:
-    """Executable and leading to a state clear of the designated violation atom."""
-    env = _env_for(act, env)
-    if not executable(model, state, act, action, env):
-        return False
-    after = env.product_of(model.compiled, act.name, compiled_product)
-    return not label(after, Atom(violation_atom), env) >> after.index[pair_name(state, action)] & 1
+    """Executable and leading to a state clear of the designated violation
+    atom, which resolves against the model's vocabulary at every state."""
+    env = _checked_env(act, env)
+    violation = Atom(violation_atom)
+    doable = executable(model, state, act, action)
+    _, violated = truths(model, state, (violation, ActBox(act.name, action, violation)), env)
+    return doable and not violated

@@ -97,11 +97,9 @@ def reduce_step(act: DeonticActionModel, action: str, scope: Formula,
         boxes = conj([ActBox(name, c, scope.arg) for c in actions])
         return Imp(pre, rebuild(scope, [boxes]))
     if isinstance(scope, PrefBox):
-        i, j = scope.i, scope.j
-        above = [c for c in sorted(act.actions) if act.le(i, j, action, c)]
-        stricts = [c for c in above if not act.le(i, j, c, action)]
+        stricts, same = act.ranks(scope.i, scope.j, action)
         parts = [Univ(ActBox(name, c, scope.arg)) for c in stricts]
-        parts += [PrefBox(i, j, ActBox(name, c, scope.arg)) for c in above if c not in stricts]
+        parts += [PrefBox(scope.i, scope.j, ActBox(name, c, scope.arg)) for c in same]
         return Imp(pre, conj(parts))
     if isinstance(scope, CondObl):
         return reduce_step(act, action, unfold_head(scope), variant)

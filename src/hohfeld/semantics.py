@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping
 
 from .actions import ActionModelEnv, DeonticActionModel
 from .errors import EmptyProductError, ModelFormatError, NameResolutionError
@@ -62,22 +61,24 @@ def evaluate(model: PrefActionModel, state: str, formula: Formula,
     ``env`` supplies the action models referenced by dynamic boxes; leaving
     it out is fine for static formulas.
     """
+    return truths(model, state, (formula,), env)[0]
+
+
+def truths(model: PrefActionModel, state: str, roots: tuple[Formula, ...],
+           env: ActionModelEnv | None = None) -> list[bool]:
+    """Truth of each root at ``state``, all labelled in one pass."""
     if state not in model.states:
         raise NameResolutionError(f"state {state!r} not in model")
     compiled = model.compiled
-    return bool(label(compiled, formula, env) >> compiled.index[state] & 1)
+    labels, p = _mask(compiled, roots, env), compiled.index[state]
+    return [bool(labels[id(f)] >> p & 1) for f in roots]
 
 
 def truth_set(model: PrefActionModel, formula: Formula,
               env: ActionModelEnv | None = None) -> frozenset[str]:
     """All states where the formula holds."""
     compiled = model.compiled
-    return compiled.states_of(label(compiled, formula, env))
-
-
-def label(compiled: CompiledModel, formula: Formula, env: ActionModelEnv | None = None) -> int:
-    """The states of a compiled model where the formula holds, as a bit mask."""
-    return _mask(compiled, (formula,), env)[id(formula)]
+    return compiled.states_of(_mask(compiled, (formula,), env)[id(formula)])
 
 
 def _mask(compiled: CompiledModel, roots: tuple[Formula, ...],
@@ -141,22 +142,23 @@ def _box_product(c: CompiledModel, f: ActBox, env: ActionModelEnv | None) -> Com
     act = env.get(f.model)
     if f.action not in act.actions:
         raise NameResolutionError(f"action {f.action!r} not in action model {act.name!r}")
-    if not _precondition(c, act, f.action):
+    if not _preconditions(c, act)[f.action]:
         return None
     return env.product_of(c, f.model, compiled_product)
 
 
-def _precondition(c: CompiledModel, act: DeonticActionModel, action: str) -> int:
-    """Where the action is executable, labelled once per (model, action
-    model) and without action models, as preconditions are static."""
+def _preconditions(c: CompiledModel, act: DeonticActionModel) -> dict[str, int]:
+    """Where each action is executable, in sorted action order; labelled in that
+    order in one pass per (model, action model), without action models, as they are static."""
     hit = c.pre.get(id(act))
     if hit is None:  # the entry pins ``act``, so its id is not reused
-        hit = c.pre[id(act)] = (act, {})
-    masks = hit[1]
-    mask = masks.get(action)
-    if mask is None:
-        mask = masks[action] = label(c, act.pre[action])
-    return mask
+        actions = sorted(act.actions)
+        for action in actions:
+            if action not in act.pre:
+                raise ModelFormatError(f"action {action!r} has no precondition")
+        labels = _mask(c, tuple(act.pre[a] for a in actions), None)
+        hit = c.pre[id(act)] = (act, {a: labels[id(act.pre[a])] for a in actions})
+    return hit[1]
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +214,15 @@ _RULES = {cls: (rule, None if cls in (Atom, Top, Bot) else _SHAPE[cls][0]) for c
 
 
 def executable(model: PrefActionModel, state: str, act: DeonticActionModel,
-               action: str, env: ActionModelEnv | None = None) -> bool:
-    """Does the action's precondition hold at the state?
-
-    The precondition is static and is labelled as ``product`` labels it,
-    without action models; ``env`` is accepted and not needed.
-    """
+               action: str) -> bool:
+    """Does the action's precondition hold at the state?  It is static and
+    labelled as ``product`` labels it, without action models."""
     if action not in act.actions:
         raise NameResolutionError(f"action {action!r} not in action model {act.name!r}")
     if state not in model.states:
         raise NameResolutionError(f"state {state!r} not in model")
     compiled = model.compiled
-    return bool(_precondition(compiled, act, action) >> compiled.index[state] & 1)
+    return bool(_preconditions(compiled, act)[action] >> compiled.index[state] & 1)
 
 
 def product(model: PrefActionModel, act: DeonticActionModel) -> UpdatedModel:
@@ -255,15 +254,14 @@ def compiled_product(base: CompiledModel, act: DeonticActionModel) -> CompiledMo
 
     Pair ``(w, a)`` is bit ``k * n + p``, for ``a`` the ``k``-th action in
     sorted order and ``w`` at bit ``p`` of the model's ``n``.  Its relations
-    are built as masks row by row when first labelled.
+    are built as masks row by row when first labelled.  The postconditions
+    are labelled in one pass, atom by atom in sorted order.
     """
     for action in sorted(act.actions):
         if PAIR_SEPARATOR in action:
             raise ModelFormatError(
                 f"action id {action!r} contains the reserved pair separator"
             )
-        if action not in act.pre:
-            raise ModelFormatError(f"action {action!r} has no precondition")
     for action, assign in sorted(act.post.items()):
         for atom in sorted(assign):
             if atom not in base.val:
@@ -272,52 +270,50 @@ def compiled_product(base: CompiledModel, act: DeonticActionModel) -> CompiledMo
                     "outside the model vocabulary"
                 )
 
-    width = len(base.names)
-    shift = {a: k * width for k, a in enumerate(sorted(act.actions))}
-    pre = {a: _precondition(base, act, a) for a in shift}
+    pre = _preconditions(base, act)
+    shift = {a: k * len(base.names) for k, a in enumerate(pre)}
     if not any(pre.values()):
         raise EmptyProductError(
             f"no action of {act.name!r} is executable anywhere in the model"
         )
-    names: list[str | None] = [None] * (width * len(shift))
+    names: list[str | None] = [None] * (len(base.names) * len(shift))
     for p, w in enumerate(base.names):
         for a, k in shift.items():
             if pre[a] >> p & 1:
                 names[k + p] = pair_name(w, a)
 
-    val = {}
-    for atom in sorted(base.val):
-        val[atom] = 0
-        for a, k in shift.items():
-            if pre[a]:
-                post = act.post_formula(a, atom)
-                after = base.val[atom] if post is None else label(base, post)
-                val[atom] |= (after & pre[a]) << k
+    posts = [(atom, a, act.post_formula(a, atom)) for atom in sorted(base.val)
+             for a in shift if pre[a]]
+    labels = _mask(base, tuple(f for _, _, f in posts if f is not None), None)
+    val = dict.fromkeys(sorted(base.val), 0)
+    for atom, a, post in posts:
+        after = base.val[atom] if post is None else labels[id(post)]
+        val[atom] |= (after & pre[a]) << shift[a]
     agents = sorted(base.agents)
     return CompiledModel(names, base.agents, [(i, j) for i in agents for j in agents],
                          sorted(base.eq_agents), val,
-                         partial(_lex_rows, base, act.rel, pre, shift), shift)
+                         partial(_lex_rows, base, act, pre, shift), shift)
 
 
-def _lex_rows(base: CompiledModel, rel: Mapping, pre: dict[str, int], shift: dict[str, int],
-              key: object) -> list[int]:
+def _lex_rows(base: CompiledModel, act: DeonticActionModel, pre: dict[str, int],
+              shift: dict[str, int], key: object) -> list[int]:
     """Successor masks of one product relation, row by row.
 
     For ideality, ``(w, a)`` sees every pair whose action is strictly above
-    ``a``, and the pairs ``(v, b)`` with ``v`` above ``w`` and ``b``
-    equivalent to ``a``.  Indistinguishability ignores the actions: it reads
-    as ideality under the total preorder, which is also an undeclared pair's.
+    ``a``, and the pairs ``(v, b)`` with ``v`` above ``w`` and ``b`` as
+    effective as ``a``, as ``act.ranks`` splits them.  Indistinguishability
+    ignores the actions: it puts every action in ``a``'s class.
     """
     if type(key) is tuple:
-        succ, le = base.pref(*key), rel.get(key)
+        succ, ranks = base.pref(*key), partial(act.ranks, *key)
     else:
-        succ, le = base.eq(key), None
+        succ, ranks = base.eq(key), lambda a: ((), list(shift))
     rows = [0] * (len(base.names) * len(shift))
-    lifted: dict[tuple, list[int]] = {}  # a class of equivalent actions -> its rows by source
+    lifted: dict[tuple, list[int]] = {}  # equally effective actions -> their rows by source
     for a, k in shift.items():
-        above = [b for b in shift if le is None or (a, b) in le]
-        same = tuple(b for b in above if le is None or (b, a) in le)
-        strict = sum(pre[b] << shift[b] for b in above if b not in same)
+        stricts, same = ranks(a)
+        same = tuple(same)
+        strict = sum(pre[b] << shift[b] for b in stricts)
         lift = lifted.get(same)
         if lift is None:
             lift = lifted[same] = [sum((s & pre[b]) << shift[b] for b in same) for s in succ]

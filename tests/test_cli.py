@@ -7,8 +7,10 @@ import pytest
 
 import hohfeld.cli as cli
 from hohfeld.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
-from hohfeld.modelio import dumps_model, load_model_file
+from hohfeld.actions import ActionModelEnv
+from hohfeld.modelio import dumps_model, load_action_model_file, load_model_file
 from hohfeld.parser import parse
+from hohfeld.positions import verdict
 import hohfeld.scenarios as scenarios
 from hohfeld.scenarios import export_fixture_files
 
@@ -120,6 +122,17 @@ def test_check_malformed_edge_is_an_input_error(files, capsys):
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_eval_on_an_atom_no_formula_can_name_is_an_input_error(files, capsys):
+    bad = files["dir"] / "keyword_atom.json"
+    data = json.loads((files["dir"] / "parking_model.json").read_text())
+    data["val"]["true"] = ["w1"]
+    bad.write_text(json.dumps(data))
+    code = main(["eval", "--model", str(bad), "--formula", "p"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "name 'true'" in err
 
 
 def test_check_non_static_precondition_is_an_input_error(files, capsys):
@@ -251,6 +264,23 @@ def test_liability_global(files, capsys):
     assert verdict == {
         "kind": "liability", "scope": "global", "holds": True, "witnesses": ["a2"],
     }
+
+
+@pytest.mark.parametrize("kind, scope", [
+    ("power", "global"), ("immunity", "global"), ("liability", "global"),
+    ("nopower", "global"), ("power", "local"), ("immunity", "local"),
+])
+@pytest.mark.parametrize("state", ["w1", "w4"])
+def test_power_prints_the_table_verdict(files, capsys, kind, scope, state):
+    position = "O i k (f / true)"
+    code = main(["power", "--model", files["contract"], "--state", state,
+                 "--actions", files["signing"], "--position", position,
+                 "--kind", kind, "--scope", scope])
+    assert code == EXIT_OK
+    act = load_action_model_file(files["signing"])
+    expected = verdict(kind, scope, load_model_file(files["contract"]), state, act,
+                       parse(position), ActionModelEnv([act]))
+    assert json.loads(capsys.readouterr().out) == expected.to_json_dict()
 
 
 # -- translate ---------------------------------------------------------------------

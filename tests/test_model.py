@@ -8,7 +8,6 @@ from hohfeld.errors import NameResolutionError
 from hohfeld.model import (
     blocks_to_relation,
     closure,
-    equivalence_closure,
     make_model,
     relation_to_blocks,
     validate,
@@ -78,12 +77,6 @@ def test_closure_matches_the_naive_oracle_in_any_state_order(case):
     states, pairs = case
     edges = [(states[a], states[b]) for a, b in pairs]
     assert closure(edges, states) == naive_closure(edges, states)
-
-
-@given(edge_sets)
-def test_equivalence_closure_is_symmetric(edges):
-    rel = equivalence_closure(edges, STATES)
-    assert all((b, a) in rel for (a, b) in rel)
 
 
 def test_blocks_round_trip():

@@ -111,6 +111,12 @@ def test_a_relation_marked_closed_loads_iff_it_is_its_closure(edges):
     (lambda d: d["eq"]["i"].update(blocks=[["w1"], ["w1", "w2"], ["w3"], ["w4"]]), "overlap"),
     (lambda d: d["eq"]["i"].update(blocks=[["w1"]]), "cover"),
     (lambda d: d["val"].update({"p": ["zz"]}), "unknown state"),
+    # every name must read back through the parser; state names stay free-form
+    (lambda d: d.update(states=["w1", "w1", "w2", "w3", "w4"]), "'w1' more than once"),
+    (lambda d: d.update(agents=["i", "c", "i"]), "'i' more than once"),
+    (lambda d: d.update(agents=["i", "c", "c d"]), "name 'c d'"),
+    (lambda d: d["val"].update({"true": []}), "name 'true'"),
+    (lambda d: d["val"].update({"p q": []}), "name 'p q'"),
 ])
 def test_model_format_errors(mutate, message_part):
     data = json.loads(json.dumps(PARK_DICT))
@@ -130,6 +136,12 @@ def test_model_format_errors(mutate, message_part):
     (lambda d: d["pre"].update({"a1": "[act A a1] p"}), "precondition not static"),
     (lambda d: d["post"]["a2"].update({"f": "[act B b1] p"}), "postcondition not static"),
     (lambda d: d["rel"]["i->c"].update(edges=[["a1", ["a2"]]]), "edge endpoint"),
+    (lambda d: d.update(actions=["a1", "a2", "a1"]), "'a1' more than once"),
+    (lambda d: d.update(name="Jo hn"), "name 'Jo hn'"),
+    (lambda d: d.update(actions=["a1", "a2", "true"], pre={**d["pre"], "true": "p"}),
+     "name 'true'"),
+    (lambda d: d["rel"].update({"i->O": {"edges": []}}), "name 'O'"),
+    (lambda d: d["post"]["a1"].update({"f 2": "true"}), "name 'f 2'"),
 ])
 def test_action_model_format_errors(mutate, message_part):
     data = json.loads(json.dumps(JOHN_DICT))

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from hohfeld.actions import ActionModelEnv, make_action_model
-from hohfeld.errors import NameResolutionError
+from hohfeld.errors import EmptyProductError, NameResolutionError
+from hohfeld.formula import TOP, ActBox, act_dia
 from hohfeld.generators import (
     GeneratorConfig,
     random_action_model,
@@ -15,6 +16,7 @@ from hohfeld.generators import (
 )
 from hohfeld.parser import parse
 from hohfeld.positions import (
+    PositionVerdict,
     global_immunity,
     global_power,
     liability,
@@ -22,7 +24,10 @@ from hohfeld.positions import (
     local_power,
     no_power,
     permissible,
+    verdict,
 )
+from hohfeld.reduction import translate
+from hohfeld.semantics import evaluate, product, truth_set
 import hohfeld.scenarios as scenarios
 
 
@@ -142,6 +147,36 @@ def test_permissible_unknown_action_raises(park, john):
         permissible(park, "w1", john, "zz", violation_atom="f")
 
 
+@pytest.mark.parametrize("state", ["w1", "w2"])
+def test_permissible_resolves_the_violation_atom_wherever_the_action_is(park, john, state):
+    # a1 is executable at w1 only; the unknown atom is an error at both
+    with pytest.raises(NameResolutionError, match="nosuch"):
+        permissible(park, state, john, "a1", "nosuch")
+
+
+# -- one action model per verdict -----------------------------------------------------
+
+def test_an_environment_with_another_model_of_the_same_name_is_refused(park, john):
+    other = make_action_model(
+        name="John", owner="john", actions=["a1", "a2"], rel={},
+        pre={"a1": parse("true"), "a2": parse("true")}, post={},
+    )
+    position = parse("O i c (f / true)")
+    assert local_power(park, "w1", john, position, ActionModelEnv([john])).holds is True
+    for call in (lambda env: local_power(park, "w1", john, position, env),
+                 lambda env: global_power(park, "w1", john, env),
+                 lambda env: permissible(park, "w1", john, "a1", "f", env)):
+        with pytest.raises(NameResolutionError, match="John"):
+            call(ActionModelEnv([other]))
+
+
+def test_a_pair_outside_the_table_is_refused(park, john):
+    with pytest.raises(NameResolutionError, match="global scope only"):
+        verdict("liability", "local", park, "w1", john, parse("true"))
+    with pytest.raises(NameResolutionError, match="unknown verdict kind 'claim'"):
+        verdict("claim", "global", park, "w1", john)
+
+
 # -- JSON rendering ----------------------------------------------------------------
 
 def test_verdict_json_shapes(contract, signing):
@@ -183,3 +218,52 @@ def test_verdict_invariants_on_random_instances():
         assert lp.holds == (not li.holds)
         assert lp.witnesses == li.witnesses
         assert set(lp.witnesses) <= set(power.witnesses)
+
+
+# -- the verdict table against the product and against the reduction --------------
+
+TABLE_PAIRS = [("power", "global"), ("immunity", "global"), ("liability", "global"),
+               ("nopower", "global"), ("power", "local"), ("immunity", "local")]
+
+
+def expected_verdict(kind, scope, doers, after, current):
+    """The verdict from the executable actions, the position's truth after
+    each of them, and its truth now."""
+    if scope == "global":
+        witnesses, current = tuple(doers), None
+    else:
+        witnesses = tuple(a for a in doers if after[a] != current)
+    holds = bool(witnesses) if kind in ("power", "liability") else not witnesses
+    return PositionVerdict({"nopower": "noPower"}.get(kind, kind), scope, holds, witnesses, current)
+
+
+def test_every_table_verdict_is_the_product_one_and_the_reduced_one():
+    cfg = GeneratorConfig(sample_count=200, max_states=4)
+    rng = random.Random(cfg.seed)
+    for _ in range(cfg.sample_count):
+        model = random_model(cfg, rng)
+        act = random_action_model(cfg, model, rng)
+        position = random_static_formula(rng, tuple(sorted(model.val)),
+                                         tuple(sorted(model.agents)), 3)
+        env = ActionModelEnv([act])
+        actions = sorted(act.actions)
+        try:
+            updated = product(model, act)
+            pairs = {origin: name for name, origin in updated.provenance.items()}
+        except EmptyProductError:
+            updated, pairs = None, {}
+        # [act A a] T and <act A a> true pushed through the sound rules: static
+        reduced_after = {a: truth_set(model, translate(ActBox(act.name, a, position), env))
+                         for a in actions}
+        reduced_doers = {a: truth_set(model, translate(act_dia(act.name, a, TOP), env))
+                         for a in actions}
+        for w in sorted(model.states):
+            current = evaluate(model, w, position)
+            doers = [a for a in actions if (w, a) in pairs]
+            after = {a: evaluate(updated.model, pairs[w, a], position) for a in doers}
+            reduced = ([a for a in actions if w in reduced_doers[a]],
+                       {a: w in reduced_after[a] for a in actions})
+            for kind, scope in TABLE_PAIRS:
+                expected = expected_verdict(kind, scope, doers, after, current)
+                assert expected == expected_verdict(kind, scope, *reduced, current)
+                assert verdict(kind, scope, model, w, act, position, env) == expected

@@ -152,6 +152,17 @@ def test_missing_precondition_rejected(park):
         product(park, bad)
 
 
+def test_every_precondition_resolves_when_one_box_is_labelled(park):
+    # all preconditions are labelled together, in sorted action order, even
+    # where the boxed action is executable nowhere and the box holds vacuously
+    act = make_action_model(
+        name="A", owner="nobody", actions=["a1", "a2"],
+        rel={}, pre={"a1": parse("false"), "a2": parse("nosuch")}, post={},
+    )
+    with pytest.raises(NameResolutionError, match="nosuch"):
+        evaluate(park, "w1", parse("[act A a1] p"), ActionModelEnv([act]))
+
+
 def test_post_targeting_unknown_atom_rejected(park):
     bad = make_action_model(
         name="Bad", owner="nobody", actions=["e"],
@@ -253,6 +264,18 @@ def test_defaults_materialized_for_undeclared_pairs():
         (f"{w}*{a}", f"{w}*{b}")
         for w in ("u", "v") for a in ("a", "b") for b in ("a", "b")
     )
+
+
+def test_ranks_split_the_actions_above_in_sorted_order():
+    act = make_action_model(
+        name="Three", owner="x", actions=["c", "b", "a"],
+        rel={("x", "y"): closure([("a", "b"), ("b", "c"), ("c", "b")], ["a", "b", "c"])},
+        pre={}, post={},
+    )
+    assert act.ranks("x", "y", "a") == (["b", "c"], ["a"])
+    assert act.ranks("x", "y", "c") == ([], ["b", "c"])
+    # an undeclared pair is total: nothing strictly above, everything as effective
+    assert act.ranks("y", "x", "b") == ([], ["a", "b", "c"])
 
 
 # -- the row-wise product against the pairwise rule ------------------------------
