@@ -5,10 +5,11 @@ Each audit searches seeded random models (and action models, where the
 schema needs one) for a state where the two sides of the axiom disagree.
 The sound variant should survive the whole table; the paper variant of the
 rules in ``PAPER_ERRATA`` (the universal and agency reductions) should each
-produce a verified counterexample.  The ``expected`` column says which; the
-script exits 1 when any row contradicts it, as ``hohfeld audit`` does for
-one axiom.  Each row also gives the samples the audit tried (all of them,
-or up to its counterexample) and how many it tried per second.
+produce a verified counterexample.  The ``expected`` column says which, read
+from ``reduction.expected_counterexample`` as ``hohfeld audit`` reads it; the
+script exits 1 when any row contradicts it, as ``hohfeld audit`` does for one
+axiom.  Each row also gives the samples the audit tried (all of them, or up
+to its counterexample) and how many it tried per second.
 
 Run:  python3 scripts/audit_axioms.py [--samples N] [--seed N]
 """
@@ -21,7 +22,7 @@ import time
 
 from hohfeld.errors import HohfeldError
 from hohfeld.generators import GeneratorConfig
-from hohfeld.reduction import AXIOMS, PAPER_ERRATA, PAPER_FORM, VARIANTS, audit_axiom
+from hohfeld.reduction import AXIOMS, VARIANTS, audit_axiom, expected_counterexample
 
 
 def main() -> int:
@@ -48,8 +49,7 @@ def main() -> int:
             report = audit_axiom(name, cfg, variant)
             elapsed = time.perf_counter() - start
             tried = cfg.sample_count if report is None else report.sample_index + 1
-            expected = ("counterexample" if name in PAPER_ERRATA and variant == PAPER_FORM
-                        else "none")
+            expected = "counterexample" if expected_counterexample(name, variant) else "none"
             result = "none" if report is None else "counterexample"
             detail = "" if report is None else (
                 f"sample {report.sample_index}, state {report.state}, "

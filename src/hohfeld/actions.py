@@ -13,7 +13,10 @@ from typing import Iterable, Mapping
 
 from .errors import ModelFormatError, NameResolutionError
 from .formula import Formula, is_static
-from .model import Relation, ValidationReport, Violation, _check_preorder
+from .model import CompiledModel, Relation, ValidationReport, Violation, _check_preorder
+
+# Joins a state and an action into the name of their product pair-state.
+PAIR_SEPARATOR = "*"
 
 
 @dataclass(frozen=True)
@@ -64,14 +67,15 @@ def validate_action_model(act: DeonticActionModel) -> ValidationReport:
 
     Effectivity relations must be preorders over the action set, every
     action needs a static precondition, postconditions must be static,
-    and action ids may not contain the pair-name separator ``*``.
+    and action ids may not contain ``PAIR_SEPARATOR``.
     """
     report = ValidationReport()
     if not act.actions:
         report.violations.append(Violation("actions", "nonempty", ()))
     for action in sorted(act.actions):
-        if "*" in action:
-            report.violations.append(Violation("actions", "reserved character '*'", (action,)))
+        if PAIR_SEPARATOR in action:
+            report.violations.append(
+                Violation("actions", f"reserved character {PAIR_SEPARATOR!r}", (action,)))
         if action not in act.pre:
             report.violations.append(Violation("pre", "no precondition", (action,)))
     for action, formula in sorted(act.pre.items()):
@@ -102,10 +106,11 @@ def require_valid(act: DeonticActionModel) -> DeonticActionModel:
 class ActionModelEnv:
     """Named action models available during evaluation.
 
-    Also memoizes products per (underlying model, action-model name): the
-    same update requested twice during one evaluation is built once.  Boxes,
-    power verdicts' too, ask for ``semantics.compiled_product`` of a compiled
-    model, so they share one product per environment.
+    ``products`` is the memo ``semantics`` keeps of the updates evaluation
+    builds: it maps (id of a compiled model, action-model name) to (that
+    model, its compiled product), so every box and power verdict that asks
+    for one update under this environment shares one product.  The entry
+    pins the model, so its id is not reused while the entry exists.
     """
 
     def __init__(self, models: Iterable[DeonticActionModel] = ()):
@@ -114,7 +119,7 @@ class ActionModelEnv:
             if act.name in self._by_name:
                 raise NameResolutionError(f"duplicate action-model name {act.name!r}")
             self._by_name[act.name] = act
-        self._product_cache: dict[tuple[int, str], tuple[object, object]] = {}
+        self.products: dict[tuple[int, str], tuple[CompiledModel, CompiledModel]] = {}
 
     def names(self) -> list[str]:
         return sorted(self._by_name)
@@ -125,17 +130,3 @@ class ActionModelEnv:
             known = ", ".join(self.names()) or "none"
             raise NameResolutionError(f"unknown action model {name!r} (loaded: {known})")
         return act
-
-    def product_of(self, model, name: str, builder):
-        """Memoized ``builder(model, self.get(name))``.
-
-        Keyed by object identity; the cached entry pins the model so the id
-        cannot be recycled while the cache lives.
-        """
-        key = (id(model), name)
-        hit = self._product_cache.get(key)
-        if hit is not None and hit[0] is model:
-            return hit[1]
-        built = builder(model, self.get(name))
-        self._product_cache[key] = (model, built)
-        return built

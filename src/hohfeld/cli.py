@@ -22,7 +22,8 @@ from .modelio import (
 )
 from .parser import parse
 from .positions import verdict
-from .reduction import AXIOMS, PAPER_ERRATA, PAPER_FORM, SOUND_FORM, audit_axiom, translate
+from .reduction import (AXIOMS, PAPER_FORM, SOUND_FORM, audit_axiom, expected_counterexample,
+                        translate)
 from .scenarios import BUNDLES, run_scenario
 from .semantics import evaluate, product, truth_set
 
@@ -69,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, metavar="FILE")
     p.add_argument("--state", required=True, metavar="ID")
     _add_actions_flag(p, required=True, multiple=False)
-    p.add_argument("--position", required=True, metavar="STR",
-                   help="target position formula (used by local scope)")
+    p.add_argument("--position", metavar="STR",
+                   help="target position formula (needed by local scope only)")
     p.add_argument("--kind", required=True,
                    choices=["power", "immunity", "liability", "nopower"])
     p.add_argument("--scope", required=True, choices=["local", "global"])
@@ -130,7 +131,8 @@ def _cmd_update(args) -> int:
 def _cmd_power(args) -> int:
     model = load_model_file(args.model)
     act = load_action_model_file(args.actions)
-    result = verdict(args.kind, args.scope, model, args.state, act, parse(args.position))
+    position = None if args.position is None else parse(args.position)
+    result = verdict(args.kind, args.scope, model, args.state, act, position)
     print(json.dumps(result.to_json_dict(), indent=2))
     return EXIT_OK
 
@@ -139,10 +141,6 @@ def _cmd_translate(args) -> int:
     env = _load_env(args.actions)
     print(str(translate(parse(args.formula), env, args.variant)))
     return EXIT_OK
-
-
-def _expected_counterexample(axiom: str, variant: str) -> bool:
-    return axiom in PAPER_ERRATA and variant == PAPER_FORM
 
 
 def _cmd_audit(args) -> int:
@@ -156,11 +154,9 @@ def _cmd_audit(args) -> int:
         sample_count=args.samples,
     )
     report = audit_axiom(args.axiom, cfg, args.variant)
-    if report is None:
-        print("none")
-        return EXIT_FAIL if _expected_counterexample(args.axiom, args.variant) else EXIT_OK
-    print(json.dumps(report.to_json_dict(), indent=2))
-    return EXIT_OK if _expected_counterexample(args.axiom, args.variant) else EXIT_FAIL
+    print("none" if report is None else json.dumps(report.to_json_dict(), indent=2))
+    found = report is not None
+    return EXIT_OK if found == expected_counterexample(args.axiom, args.variant) else EXIT_FAIL
 
 
 def _cmd_iso(args) -> int:

@@ -222,6 +222,7 @@ def random_action_model(cfg: GeneratorConfig, model: PrefActionModel | CompiledM
     atoms = tuple(sorted(model.val))
     agents = tuple(sorted(model.agents))
     actions = [f"a{k}" for k in range(rng.randint(1, cfg.max_actions))]
+    depth = min(2, cfg.max_formula_depth)  # of each random pre- and postcondition
 
     rel = {}
     for i in agents:
@@ -237,10 +238,7 @@ def random_action_model(cfg: GeneratorConfig, model: PrefActionModel | CompiledM
     elif pre_mode == "exclusive" and atoms:
         pre = dict(zip(actions, _exclusive_preconditions(atoms, len(actions))))
     else:
-        pre = {
-            a: random_static_formula(rng, atoms, agents, depth=min(2, cfg.max_formula_depth))
-            for a in actions
-        }
+        pre = {a: random_static_formula(rng, atoms, agents, depth) for a in actions}
 
     post: dict[str, dict[str, Formula]] = {}
     for a in actions:
@@ -252,7 +250,7 @@ def random_action_model(cfg: GeneratorConfig, model: PrefActionModel | CompiledM
             elif kind == "bot":
                 overrides[atom] = BOT
             else:
-                overrides[atom] = random_static_formula(rng, atoms, agents, depth=2)
+                overrides[atom] = random_static_formula(rng, atoms, agents, depth)
         if overrides:
             post[a] = overrides
 

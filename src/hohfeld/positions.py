@@ -61,6 +61,8 @@ def verdict(kind: str, scope: str, model, state: str, act: DeonticActionModel,
         scopes = [s for k, s in VERDICTS if k == kind]
         raise NameResolutionError(f"{kind} is defined for {' and '.join(scopes)} scope only"
                                   if scopes else f"unknown verdict kind {kind!r}")
+    if scope == "local" and position is None:
+        raise NameResolutionError(f"local {kind} needs a position: the formula it may flip")
     name, on_witness = VERDICTS[kind, scope]
     env = _checked_env(act, env)
     witnesses = [a for a in sorted(act.actions) if executable(model, state, act, a)]

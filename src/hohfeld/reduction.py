@@ -75,11 +75,21 @@ VARIANTS = (SOUND_FORM, PAPER_FORM)
 PAPER_ERRATA = frozenset({"univRed", "doRed"})
 
 
+def expected_counterexample(axiom: str, variant: str) -> bool:
+    """Should the audit of the axiom in the variant find a counterexample?"""
+    return axiom in PAPER_ERRATA and variant == PAPER_FORM
+
+
+def _check_variant(variant: str) -> None:
+    """``ValueError`` unless the variant is one of ``VARIANTS``."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+
+
 def reduce_step(act: DeonticActionModel, action: str, scope: Formula,
                 variant: str = SOUND_FORM) -> Formula:
     """One rewrite of ``[act, action] scope`` for a static scope."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_variant(variant)
     pre = act.pre[action]
     name = act.name
     if isinstance(scope, Atom):
@@ -128,6 +138,7 @@ def translate(f: Formula, env: ActionModelEnv, variant: str = SOUND_FORM) -> For
     exponentially with nested boxes, but the node objects grow only with
     the distinct subterms; ``str()`` still writes out the whole tree.
     """
+    _check_variant(variant)
     checked: dict[str, DeonticActionModel] = {}
 
     def push(g: Formula) -> Formula:
@@ -243,9 +254,9 @@ def _vocabulary(f: Formula, acts: list[DeonticActionModel]) -> tuple[tuple[str, 
 
 
 # ---------------------------------------------------------------------------
-# Axiom audits.  Every builder takes (rng, model), the model compiled, and
-# draws names before formulas: the draws are the seeded sample stream, so
-# their order is fixed.
+# Axiom audits.  Every builder takes (rng, model, cap), the model compiled and
+# ``cap`` the audit's ``max_formula_depth``, and draws names before formulas:
+# the draws are the seeded sample stream, so their order is fixed.
 
 
 def _agents(rng: random.Random, model: CompiledModel, count: int) -> list[str]:
@@ -253,8 +264,9 @@ def _agents(rng: random.Random, model: CompiledModel, count: int) -> list[str]:
     return [rng.choice(agents) for _ in range(count)]
 
 
-def _static(rng: random.Random, model: CompiledModel, depth: int = 3) -> Formula:
-    return random_static_formula(rng, tuple(sorted(model.val)), tuple(sorted(model.agents)), depth)
+def _static(rng: random.Random, model: CompiledModel, cap: int, depth: int = 3) -> Formula:
+    return random_static_formula(rng, tuple(sorted(model.val)), tuple(sorted(model.agents)),
+                                 min(depth, cap))
 
 
 def _box(cls: type, arity: int) -> Callable:
@@ -270,14 +282,14 @@ _PREF, _UNIV, _DOES = _box(PrefBox, 2), _box(Univ, 0), _box(Does, 1)
 
 
 def _boxed(pick: Callable) -> Callable:
-    return lambda rng, model: pick(rng, model)(_static(rng, model, 2))
+    return lambda rng, model, cap: pick(rng, model)(_static(rng, model, cap, 2))
 
 
 def _box_laws(pick: Callable, s5: bool) -> Callable:
     """K, T and 4 for a random box, and 5 too when ``s5``."""
-    def build(rng, model):
+    def build(rng, model, cap):
         box = pick(rng, model)
-        phi, psi = _static(rng, model), _static(rng, model)
+        phi, psi = _static(rng, model, cap), _static(rng, model, cap)
         boxed = box(phi)  # one node, labelled once wherever the laws use it
         k_axiom = Imp(box(Imp(phi, psi)), Imp(boxed, box(psi)))
         t_axiom = Imp(boxed, phi)
@@ -291,26 +303,26 @@ def _box_laws(pick: Callable, s5: bool) -> Callable:
 
 def _inclusion(pick: Callable) -> Callable:
     """U phi implies a random box over phi."""
-    def build(rng, model):
+    def build(rng, model, cap):
         box = pick(rng, model)
-        phi = _static(rng, model)
+        phi = _static(rng, model, cap)
         return Imp(Univ(phi), box(phi))
     return build
 
 
-def _qualified_d(rng, model):
+def _qualified_d(rng, model, cap):
     i, j = _agents(rng, model, 2)
-    phi, psi = _static(rng, model), _static(rng, model)
+    phi, psi = _static(rng, model, cap), _static(rng, model, cap)
     return Imp(
         pref_dia(i, j, phi),
         Imp(CondObl(i, j, psi, phi), Not(CondObl(i, j, Not(psi), phi))),
     )
 
 
-def _normal_obl(rng, model):
+def _normal_obl(rng, model, cap):
     i, j = _agents(rng, model, 2)
-    phi = _static(rng, model)
-    psi, chi = _static(rng, model), _static(rng, model)
+    phi = _static(rng, model, cap)
+    psi, chi = _static(rng, model, cap), _static(rng, model, cap)
     return Iff(
         CondObl(i, j, And(psi, chi), phi),
         And(CondObl(i, j, psi, phi), CondObl(i, j, chi, phi)),
@@ -319,9 +331,9 @@ def _normal_obl(rng, model):
 
 # axiom -> a random static scope; the audit pushes a random [act A a] through it
 REDUCTIONS: dict[str, Callable] = {
-    "atomRed": lambda rng, model: Atom(rng.choice(sorted(model.val))),
-    "negRed": lambda rng, model: Not(_static(rng, model, 2)),
-    "andRed": lambda rng, model: And(_static(rng, model, 2), _static(rng, model, 2)),
+    "atomRed": lambda rng, model, cap: Atom(rng.choice(sorted(model.val))),
+    "negRed": lambda rng, model, cap: Not(_static(rng, model, cap, 2)),
+    "andRed": lambda rng, model, cap: And(_static(rng, model, cap, 2), _static(rng, model, cap, 2)),
     "univRed": _boxed(_UNIV),
     "doRed": _boxed(_DOES),
     "prefRed": _boxed(_PREF),
@@ -354,16 +366,15 @@ def audit_axiom(name: str, cfg: GeneratorConfig = GeneratorConfig(),
         raise NameResolutionError(
             f"unknown axiom {name!r} (known: {', '.join(sorted(AXIOMS))})"
         )
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_variant(variant)
 
     def draw(rng):
         model = random_compiled_model(cfg, rng)
         if name in VALIDITIES:
-            return model, VALIDITIES[name](rng, model), TOP, ()
+            return model, VALIDITIES[name](rng, model, cfg.max_formula_depth), TOP, ()
         act = random_action_model(cfg, model, rng)
         action = rng.choice(sorted(act.actions))
-        scope = REDUCTIONS[name](rng, model)
+        scope = REDUCTIONS[name](rng, model, cfg.max_formula_depth)
         rhs = reduce_step(act, action, scope, variant)
         return model, ActBox(act.name, action, scope), rhs, (act,)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .actions import ActionModelEnv, DeonticActionModel
+from .actions import PAIR_SEPARATOR, ActionModelEnv, DeonticActionModel
 from .errors import EmptyProductError, ModelFormatError, NameResolutionError
 from .formula import (
     ActBox,
@@ -38,8 +38,6 @@ from .formula import (
     _SHAPE,
 )
 from .model import CompiledModel, PrefActionModel, view
-
-PAIR_SEPARATOR = "*"
 
 
 def pair_name(state: str, action: str) -> str:
@@ -133,8 +131,8 @@ def _mask(compiled: CompiledModel, roots: tuple[Formula, ...],
 
 
 def _box_product(c: CompiledModel, f: ActBox, env: ActionModelEnv | None) -> CompiledModel | None:
-    """The product a box's scope is labelled on; none where the action is
-    executable nowhere."""
+    """The product a box's scope is labelled on, built once per environment
+    and kept in ``env.products``; none where the action is executable nowhere."""
     if env is None:
         raise NameResolutionError(
             f"formula mentions action model {f.model!r} but no action models were supplied"
@@ -144,7 +142,11 @@ def _box_product(c: CompiledModel, f: ActBox, env: ActionModelEnv | None) -> Com
         raise NameResolutionError(f"action {f.action!r} not in action model {act.name!r}")
     if not _preconditions(c, act)[f.action]:
         return None
-    return env.product_of(c, f.model, compiled_product)
+    key = (id(c), f.model)
+    hit = env.products.get(key)
+    if hit is None:  # the entry pins ``c``, so its id is not reused
+        hit = env.products[key] = (c, compiled_product(c, act))
+    return hit[1]
 
 
 def _preconditions(c: CompiledModel, act: DeonticActionModel) -> dict[str, int]:

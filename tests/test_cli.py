@@ -11,6 +11,7 @@ from hohfeld.actions import ActionModelEnv
 from hohfeld.modelio import dumps_model, load_action_model_file, load_model_file
 from hohfeld.parser import parse
 from hohfeld.positions import verdict
+from hohfeld.reduction import AXIOMS, VARIANTS, expected_counterexample
 import hohfeld.scenarios as scenarios
 from hohfeld.scenarios import export_fixture_files
 
@@ -243,6 +244,21 @@ def test_local_immunity_verdict(files, capsys):
     assert verdict["witnesses"] == []
 
 
+def test_power_global_needs_no_position(files, capsys):
+    code = main(["power", "--model", files["contract"], "--state", "w1",
+                 "--actions", files["signing"], "--kind", "power", "--scope", "global"])
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["witnesses"] == ["a1"]
+
+
+def test_power_local_without_a_position_is_an_input_error(files, capsys):
+    code = main(["power", "--model", files["contract"], "--state", "w1",
+                 "--actions", files["signing"], "--kind", "power", "--scope", "local"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "position" in err
+
+
 def test_liability_is_global_only(files, capsys):
     code = main(["power", "--model", files["contract"], "--state", "w1",
                  "--actions", files["signing"], "--position", "true",
@@ -335,6 +351,18 @@ def test_audit_missing_expected_counterexample_fails(capsys):
                  "--samples", "2"])
     assert code == EXIT_FAIL
     assert capsys.readouterr().out.strip() == "none"
+
+
+@pytest.mark.parametrize("samples", ["5", "50"])
+def test_audit_exit_codes_follow_the_expected_counterexample(samples, capsys):
+    # at 5 samples neither paper counterexample is reached, at 50 both are
+    for axiom in sorted(AXIOMS):
+        for variant in VARIANTS:
+            code = main(["audit", "--axiom", axiom, "--variant", variant, "--samples", samples])
+            found = capsys.readouterr().out.strip() != "none"
+            assert code == (EXIT_OK if found == expected_counterexample(axiom, variant)
+                            else EXIT_FAIL)
+            assert found == (samples == "50" and expected_counterexample(axiom, variant))
 
 
 @pytest.mark.parametrize("flags", [

@@ -9,7 +9,7 @@ import pytest
 
 from hohfeld.actions import ActionModelEnv, make_action_model, validate_action_model
 from hohfeld.errors import ConfigError, HohfeldError
-from hohfeld.formula import ActBox, Atom, is_static, subformulas
+from hohfeld.formula import ActBox, Atom, children, is_static, subformulas
 from hohfeld.generators import (
     AGENT_POOL,
     ATOM_POOL,
@@ -26,6 +26,8 @@ from hohfeld.modelio import dumps_action_model, dumps_model, model_from_dict, mo
 from hohfeld.parser import parse
 from hohfeld.reduction import AXIOMS, VARIANTS, audit_axiom, check_equivalence
 from hohfeld.semantics import evaluate
+import hohfeld.generators as generators
+import hohfeld.reduction as reduction
 import hohfeld.scenarios as scenarios
 
 
@@ -95,6 +97,32 @@ def test_audit_reports_are_pinned():
                 text = "none" if report is None else json.dumps(report.to_json_dict(), sort_keys=True)
                 digest.update(f"{name} {variant} {text}\n".encode())
     assert digest.hexdigest() == AUDIT_DIGEST
+
+
+def _height(f):
+    kids = children(f)
+    return 1 + max(map(_height, kids)) if kids else 0
+
+
+def test_audits_draw_no_formula_deeper_than_max_formula_depth(monkeypatch):
+    drawn = []
+
+    def recording(rng, atoms, agents, depth):
+        drawn.append(random_static_formula(rng, atoms, agents, depth))
+        return drawn[-1]
+
+    # reduction draws scopes and instances, generators pre- and postconditions
+    monkeypatch.setattr(generators, "random_static_formula", recording)
+    monkeypatch.setattr(reduction, "random_static_formula", recording)
+    heights = {}
+    for depth in (1, 4):
+        drawn.clear()
+        cfg = GeneratorConfig(seed=7, sample_count=40, max_states=4, max_formula_depth=depth)
+        for name in sorted(AXIOMS):
+            for variant in VARIANTS:
+                audit_axiom(name, cfg, variant)
+        heights[depth] = max(map(_height, drawn))
+    assert heights == {1: 1, 4: 3}
 
 
 # computed before audits and equivalence checks drew compiled models only

@@ -104,7 +104,7 @@ def oracle_dynamic(model, w, f, env):
     act = env.get(f.model)
     if not oracle_eval(model, w, act.pre[f.action], env):
         return True
-    updated = env.product_of(model, f.model, product)
+    updated = product(model, act)
     return oracle_eval(updated.model, pair_name(w, f.action), f.arg, env)
 
 

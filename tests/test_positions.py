@@ -6,7 +6,7 @@ import random
 import pytest
 
 from hohfeld.actions import ActionModelEnv, make_action_model
-from hohfeld.errors import EmptyProductError, NameResolutionError
+from hohfeld.errors import EmptyProductError, HohfeldError, NameResolutionError
 from hohfeld.formula import TOP, ActBox, act_dia
 from hohfeld.generators import (
     GeneratorConfig,
@@ -175,6 +175,11 @@ def test_a_pair_outside_the_table_is_refused(park, john):
         verdict("liability", "local", park, "w1", john, parse("true"))
     with pytest.raises(NameResolutionError, match="unknown verdict kind 'claim'"):
         verdict("claim", "global", park, "w1", john)
+
+
+def test_local_scope_without_a_position_is_refused(park, john):
+    with pytest.raises(HohfeldError, match="local power needs a position"):
+        verdict("power", "local", park, "w1", john)
 
 
 # -- JSON rendering ----------------------------------------------------------------

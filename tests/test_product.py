@@ -4,6 +4,7 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from hohfeld.modelio import dumps_model, model_to_dict
 from hohfeld.parser import parse
 from hohfeld.semantics import evaluate, pair_name, product, truth_set
 import hohfeld.scenarios as scenarios
+import hohfeld.semantics as semantics
 
 
 # -- the two bundled updates, checked piece by piece -------------------------
@@ -222,13 +224,14 @@ def test_product_is_deterministic(park, john):
 
 def test_env_memoizes_per_model_identity(park, john):
     env = ActionModelEnv([john])
-    first = env.product_of(park, "John", product)
-    second = env.product_of(park, "John", product)
-    assert first is second
-    other = scenarios.parking_model()
-    third = env.product_of(other, "John", product)
-    assert third is not first
-    assert third.model == first.model
+    f = parse("[act John a1] f & [act John a2] !f")  # two boxes of one action model
+    with patch("hohfeld.semantics.compiled_product", wraps=semantics.compiled_product) as built:
+        first = truth_set(park, f, env)
+        assert built.call_count == 1
+        assert truth_set(park, f, env) == first  # the same env: no product built
+        assert built.call_count == 1
+        assert truth_set(scenarios.parking_model(), f, env) == first  # a fresh copy: one more
+        assert built.call_count == 2
 
 
 def test_nested_updates_through_evaluate(park, john, mary):
@@ -357,7 +360,7 @@ def test_models_and_products_are_freed_by_reference_counting(john):
         model = scenarios.parking_model()
         env = ActionModelEnv([john])
         truth_set(model, parse("[act John a1] O i c (f / p)"), env)
-        updated = env.product_of(model, "John", product)
+        updated = product(model, john)
         dumps_model(updated.model)  # every relation read
         alive = [weakref.ref(x) for x in (model, model.compiled, updated,
                                           updated.model, updated.model.compiled)]

@@ -128,6 +128,14 @@ def test_reduce_step_rejects_dynamic_scope_and_bad_variant(john):
         reduce_step(john, "a1", TOP, variant="zz")
 
 
+def test_translate_and_check_equivalence_reject_a_bad_variant_on_static_formulas(john):
+    env = ActionModelEnv([john])
+    with pytest.raises(ValueError, match="bogus"):
+        translate(parse("p"), env, "bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        check_equivalence(parse("p"), env, "bogus")
+
+
 # -- whole-formula translation --------------------------------------------------
 
 def test_translate_worked_example(john):

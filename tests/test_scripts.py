@@ -8,6 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from hohfeld.modelio import load_action_model_file, load_model_file
+from hohfeld.reduction import AXIOMS, VARIANTS, expected_counterexample
+import hohfeld.scenarios as scenarios
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -50,6 +54,31 @@ def test_audit_script_fails_when_an_expected_counterexample_is_missed():
     done = _run(["scripts/audit_axioms.py", "--samples", "5"])
     assert done.returncode == 1
     assert "contradict" in done.stderr
+    # the expected column is the reduction's predicate, for all 13 x 2 audits
+    expected = {tuple(row.split()[:2]): row.split()[2] == "counterexample"
+                for row in done.stdout.splitlines()[2:]}
+    assert expected == {(name, variant): expected_counterexample(name, variant)
+                        for name in AXIOMS for variant in VARIANTS}
+
+
+def test_export_fixtures_script_writes_files_that_reload_equal(tmp_path):
+    done = _run(["scripts/export_fixtures.py", str(tmp_path)])
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 7 and all(line.startswith("wrote ") for line in lines)
+    builders = {
+        "parking_model.json": (load_model_file, scenarios.parking_model),
+        "john_actions.json": (load_action_model_file, scenarios.john_action_model),
+        "mary_actions.json": (load_action_model_file, scenarios.mary_action_model),
+        "contract_model.json": (load_model_file, scenarios.contract_model),
+        "contract_actions.json": (load_action_model_file, scenarios.contract_action_model),
+        "contract_model_v.json": (load_model_file, scenarios.contract_model_with_violation),
+        "contract_actions_v.json": (load_action_model_file,
+                                    scenarios.contract_action_model_with_violation),
+    }
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(builders)
+    for name, (load, build) in builders.items():
+        assert load(tmp_path / name) == build()
 
 
 def _run(argv):
